@@ -63,30 +63,19 @@ void DfsCluster::BuildInitialTopology() {
   serving_meta_nodes_.clear();
   rate_windows_.clear();
   window_epoch_ = 1;
-  cpu_storage_agg_ = RateDimAgg{};
-  cpu_meta_agg_ = RateDimAgg{};
-  net_storage_agg_ = RateDimAgg{};
-  net_meta_agg_ = RateDimAgg{};
   crashed_nodes_ = 0;
   node_load_group_.clear();
-  load_group_count_ = 0;
-  group_serving_.clear();
-  group_frac_.clear();
-  group_frac_dirty_.clear();
-  dirty_groups_.clear();
-  group_hot_.clear();
-  group_hot_dirty_.clear();
-  hot_dirty_groups_.clear();
-  group_rate_max_.clear();
-  InvalidateLoadIndex();
+  load_groups_.clear();
+  ResetLoadIndex();
   OnTopologyCleared();
 
+  // The index starts empty; the admission paths below fill it.
   for (int i = 0; i < config_.initial_meta_nodes; ++i) {
     NodeId id = next_node_id_++;
     MetaNode node;
     node.id = id;
     meta_nodes_[id] = node;
-    serving_meta_nodes_.push_back(id);
+    SetMetaNodeServing(id, true);
   }
   for (int i = 0; i < config_.initial_storage_nodes; ++i) {
     AddStorageNodeInternal(BrickCapacityFor(next_node_id_));
@@ -123,49 +112,63 @@ void DfsCluster::ResetToInitial() {
 // Aggregates over bricks/nodes are maintained, not recomputed: the per-op
 // read points (StorageImbalance in the balancer check and the coverage hash,
 // SampleLoad in the monitor) run off integer running sums, while mutation
-// points pay an O(1) delta (byte writes) or an O(bricks-of-one-node) update
-// (membership changes). The full rebuild only runs after a topology reset —
-// removed nodes stay in the node maps as tombstones, so anything that walks
-// a whole node map is O(all nodes ever created) and must stay off the per-op
-// path. All sums are integers, so every cached double is bit-identical to a
-// from-scratch walk (tests/cluster_cache_test.cc).
+// points pay an O(1) delta (byte writes, charges) or an O(bricks-of-one-node)
+// update (membership changes). The index is valid at every instant: removed
+// nodes stay in the node maps as tombstones, so anything that walks a whole
+// node map is O(all nodes ever created), and the one full rebuild runs only
+// when a snapshot is restored. All sums are integers, so every cached double
+// is bit-identical to a from-scratch walk (tests/cluster_cache_test.cc).
 
-void DfsCluster::InvalidateLoadIndex() {
-  load_index_dirty_ = true;
-  ++load_epoch_;
-  ++membership_epoch_;
+namespace {
+
+uint64_t Excess(uint64_t used, uint64_t capacity) {
+  return used > capacity ? used - capacity : 0;
 }
 
-void DfsCluster::RebuildLoadIndex() const {
+// Inserts or erases `id` in a sorted id list; a no-op when it is already in
+// the requested state. Ids are monotonic, so inserts are mostly appends.
+template <typename Id>
+void SetSortedMember(std::vector<Id>& ids, Id id, bool member) {
+  auto pos = std::lower_bound(ids.begin(), ids.end(), id);
+  bool present = pos != ids.end() && *pos == id;
+  if (member && !present) {
+    ids.insert(pos, id);
+  } else if (!member && present) {
+    ids.erase(pos);
+  }
+}
+
+}  // namespace
+
+void DfsCluster::ResetLoadIndex() {
   serving_bricks_.clear();
   serving_storage_nodes_.clear();
-  node_agg_.assign(next_node_id_, NodeLoadAgg{});
-  group_serving_.assign(load_group_count_, {});
-  group_frac_.assign(load_group_count_, GroupFracAgg{});
-  group_frac_dirty_.assign(load_group_count_, 1);
-  group_hot_.assign(load_group_count_, GroupHotBrick{});
-  group_hot_dirty_.assign(load_group_count_, 1);
-  group_rate_max_.assign(load_group_count_, GroupRateMax{});
-  dirty_groups_.clear();
-  hot_dirty_groups_.clear();
-  for (uint32_t g = 0; g < load_group_count_; ++g) {
-    dirty_groups_.push_back(g);
-    hot_dirty_groups_.push_back(g);
-  }
+  node_agg_.clear();
   fleet_used_ = 0;
   fleet_cap_ = 0;
   fleet_overflow_ = 0;
   total_used_all_ = 0;
+  fraction_memo_ = FractionStats{};
+  for (LoadGroup& group : load_groups_) {
+    group = LoadGroup{};
+  }
+  dirty_groups_.clear();
+  hot_dirty_groups_.clear();
+  cpu_storage_agg_ = RateDimAgg{};
+  cpu_meta_agg_ = RateDimAgg{};
+  net_storage_agg_ = RateDimAgg{};
+  net_meta_agg_ = RateDimAgg{};
+}
+
+void DfsCluster::RebuildLoadIndex() {
+  ResetLoadIndex();
+  // Every group is recomputed, including groups no serving node marks.
+  for (uint32_t g = 0; g < load_groups_.size(); ++g) {
+    MarkGroupDirty(g);
+  }
+  node_agg_.resize(storage_node_index_.size());
   for (const auto& [id, node] : storage_nodes_) {
-    NodeLoadAgg agg;
-    agg.serving = node.Serving();
-    if (agg.serving) {
-      serving_storage_nodes_.push_back(id);
-      uint32_t group = LoadGroupOf(id);
-      if (group != kInvalidLoadGroup) {
-        group_serving_[group].push_back(id);
-      }
-    }
+    NodeLoadAgg& agg = node_agg_[id];
     for (BrickId b : node.bricks) {
       const Brick* brick = FindBrick(b);
       if (brick == nullptr) {
@@ -177,27 +180,18 @@ void DfsCluster::RebuildLoadIndex() const {
         agg.cap_online += brick->capacity_bytes;
       }
     }
-    node_agg_[id] = agg;
+    if (node.Serving()) {
+      SetStorageNodeServing(id, true);
+    }
   }
   for (const auto& [id, brick] : bricks_) {
+    (void)id;
     total_used_all_ += brick.used_bytes;
-    if (!brick.online) {
-      continue;
-    }
-    if (brick.node < node_agg_.size() && node_agg_[brick.node].serving) {
-      serving_bricks_.push_back(id);
-      fleet_used_ += brick.used_bytes;
-      fleet_cap_ += brick.capacity_bytes;
-      if (brick.used_bytes > brick.capacity_bytes) {
-        fleet_overflow_ += brick.used_bytes - brick.capacity_bytes;
-      }
-    }
   }
-  // The rate aggregates were frozen while the index was dirty (the per-node
-  // windows kept tracking unconditionally); reconstitute them from the
-  // windows of the now-current serving sets.
-  RebuildRateAggs();
-  load_index_dirty_ = false;
+  for (NodeId id : serving_meta_nodes_) {
+    SetNodeInRateAggs(id, /*is_storage=*/false, /*in=*/true);
+  }
+  ++membership_epoch_;
 }
 
 uint64_t DfsCluster::WindowDelta(NodeId id, bool cpu_dim) const {
@@ -207,37 +201,24 @@ uint64_t DfsCluster::WindowDelta(NodeId id, bool cpu_dim) const {
   return cpu_dim ? rate_windows_[id].cpu_ticks : rate_windows_[id].net_delta;
 }
 
-void DfsCluster::RebuildRateAggs() const {
-  cpu_storage_agg_ = RateDimAgg{};
-  cpu_meta_agg_ = RateDimAgg{};
-  net_storage_agg_ = RateDimAgg{};
-  net_meta_agg_ = RateDimAgg{};
-  auto accumulate = [this](const std::vector<NodeId>& members, RateDimAgg& cpu_agg,
-                           RateDimAgg& net_agg) {
-    for (NodeId id : members) {
-      uint64_t cpu = WindowDelta(id, /*cpu_dim=*/true);
-      uint64_t net = WindowDelta(id, /*cpu_dim=*/false);
-      cpu_agg.sum += cpu;
-      cpu_agg.sum_sq += static_cast<Uint128>(cpu) * cpu;
-      cpu_agg.max_delta = std::max(cpu_agg.max_delta, cpu);
-      net_agg.sum += net;
-      net_agg.sum_sq += static_cast<Uint128>(net) * net;
-      net_agg.max_delta = std::max(net_agg.max_delta, net);
-    }
-  };
-  accumulate(serving_storage_nodes_, cpu_storage_agg_, net_storage_agg_);
-  accumulate(serving_meta_nodes_, cpu_meta_agg_, net_meta_agg_);
-  // Re-seed the per-group high-water marks from the same windows so the
-  // departure rescan path stays group-local after a rebuild.
-  for (NodeId id : serving_storage_nodes_) {
-    uint32_t group = LoadGroupOf(id);
-    if (group == kInvalidLoadGroup) {
+void DfsCluster::SetNodeInRateAggs(NodeId id, bool is_storage, bool in) {
+  const std::vector<NodeId>& members =
+      is_storage ? serving_storage_nodes_ : serving_meta_nodes_;
+  for (bool cpu_dim : {true, false}) {
+    RateDimAgg& agg = RateAgg(is_storage, cpu_dim);
+    uint64_t delta = WindowDelta(id, cpu_dim);
+    if (in) {
+      agg.Update(0, delta);
       continue;
     }
-    GroupRateMax& gm = group_rate_max_[group];
-    gm.epoch = window_epoch_;
-    gm.cpu = std::max(gm.cpu, WindowDelta(id, /*cpu_dim=*/true));
-    gm.net = std::max(gm.net, WindowDelta(id, /*cpu_dim=*/false));
+    agg.Update(delta, 0);
+    // Only a departing maximum can lower the high-water mark.
+    if (delta != 0 && delta == agg.max_delta) {
+      agg.max_delta = 0;
+      for (NodeId member : members) {
+        agg.max_delta = std::max(agg.max_delta, WindowDelta(member, cpu_dim));
+      }
+    }
   }
 }
 
@@ -247,10 +228,8 @@ void DfsCluster::RebuildRateAggs() const {
 // Storage nodes are partitioned into load groups (id-range spans by default;
 // GeoFS aligns them with scheduling groups via PickLoadGroup). Fraction
 // stats keep one sub-aggregate per group, refreshed only when a member
-// mutated (dirty-group queue) and rolled up over O(#groups); rate windows
-// keep one epoch-stamped high-water mark per group so a departing maximum
-// rescans one group plus the group marks instead of the whole fleet. All
-// sums are integers, so the rollup is bit-identical to the flat scan.
+// mutated (dirty-group queue) and rolled up over O(#groups). All sums are
+// integers, so the rollup is bit-identical to the flat scan.
 
 void DfsCluster::AssignLoadGroup(NodeId id) {
   uint32_t group = PickLoadGroup(id);
@@ -261,52 +240,26 @@ void DfsCluster::AssignLoadGroup(NodeId id) {
     node_load_group_.resize(id + 1, kInvalidLoadGroup);
   }
   node_load_group_[id] = group;
-  if (group >= load_group_count_) {
-    load_group_count_ = group + 1;
+  if (group >= load_groups_.size()) {
+    load_groups_.resize(group + 1);
   }
 }
 
-void DfsCluster::EnsureGroupSlots(uint32_t group) const {
-  size_t need = std::max<size_t>(load_group_count_, group + 1);
-  if (group_serving_.size() < need) {
-    group_serving_.resize(need);
-  }
-  if (group_frac_.size() < need) {
-    group_frac_.resize(need);
-  }
-  if (group_frac_dirty_.size() < need) {
-    group_frac_dirty_.resize(need, 0);
-  }
-  if (group_hot_.size() < need) {
-    group_hot_.resize(need);
-  }
-  if (group_hot_dirty_.size() < need) {
-    group_hot_dirty_.resize(need, 0);
-  }
-  if (group_rate_max_.size() < need) {
-    group_rate_max_.resize(need);
-  }
-}
-
-void DfsCluster::MarkGroupDirty(NodeId node) const {
-  uint32_t group = LoadGroupOf(node);
-  if (group == kInvalidLoadGroup) {
-    return;
-  }
-  EnsureGroupSlots(group);
-  if (!group_frac_dirty_[group]) {
-    group_frac_dirty_[group] = 1;
+void DfsCluster::MarkGroupDirty(uint32_t group) {
+  LoadGroup& slot = load_groups_[group];
+  if (!slot.frac_dirty) {
+    slot.frac_dirty = true;
     dirty_groups_.push_back(group);
   }
-  if (!group_hot_dirty_[group]) {
-    group_hot_dirty_[group] = 1;
+  if (!slot.hot_dirty) {
+    slot.hot_dirty = true;
     hot_dirty_groups_.push_back(group);
   }
 }
 
 void DfsCluster::RefreshGroupFrac(uint32_t group) const {
   GroupFracAgg agg;
-  for (NodeId id : group_serving_[group]) {
+  for (NodeId id : load_groups_[group].serving) {
     const NodeLoadAgg& node = node_agg_[id];
     if (node.cap_online == 0) {
       continue;
@@ -323,22 +276,18 @@ void DfsCluster::RefreshGroupFrac(uint32_t group) const {
     agg.frac_sum += ticks;
     agg.frac_sum_sq += static_cast<Uint128>(ticks) * ticks;
   }
-  group_frac_[group] = agg;
+  load_groups_[group].frac = agg;
 }
 
 void DfsCluster::RefreshGroupHotBrick(uint32_t group) const {
   GroupHotBrick hot;
-  for (NodeId id : group_serving_[group]) {
-    const StorageNode* node = FindStorageNode(id);
-    if (node == nullptr) {
-      continue;
-    }
-    for (BrickId b : node->bricks) {
+  for (NodeId id : load_groups_[group].serving) {
+    for (BrickId b : FindStorageNode(id)->bricks) {
       const Brick* brick = FindBrick(b);
       if (brick == nullptr || !brick->online) {
         continue;
       }
-      double fraction = brick_fraction_[b];
+      double fraction = brick->UsedFraction();
       if (fraction > hot.fraction ||
           (fraction == hot.fraction && b < hot.id)) {
         hot.fraction = fraction;
@@ -346,15 +295,14 @@ void DfsCluster::RefreshGroupHotBrick(uint32_t group) const {
       }
     }
   }
-  group_hot_[group] = hot;
+  load_groups_[group].hot = hot;
 }
 
 BrickId DfsCluster::HottestServingBrick() const {
-  EnsureLoadIndex();
   for (uint32_t group : hot_dirty_groups_) {
-    if (group_hot_dirty_[group]) {
+    if (load_groups_[group].hot_dirty) {
       RefreshGroupHotBrick(group);
-      group_hot_dirty_[group] = 0;
+      load_groups_[group].hot_dirty = false;
     }
   }
   hot_dirty_groups_.clear();
@@ -364,7 +312,8 @@ BrickId DfsCluster::HottestServingBrick() const {
   // fraction ties, matching a strict-max scan in brick-id order.
   BrickId best = kInvalidBrick;
   double best_fraction = -1.0;
-  for (const GroupHotBrick& hot : group_hot_) {
+  for (const LoadGroup& group : load_groups_) {
+    const GroupHotBrick& hot = group.hot;
     if (hot.id == kInvalidBrick) {
       continue;
     }
@@ -378,435 +327,146 @@ BrickId DfsCluster::HottestServingBrick() const {
 }
 
 std::pair<uint64_t, uint64_t> DfsCluster::LoadGroupUsedCap(uint32_t group) const {
-  EnsureLoadIndex();
-  if (group >= load_group_count_) {
+  if (group >= load_groups_.size()) {
     return {0, 0};
   }
-  EnsureGroupSlots(group);
-  if (group_frac_dirty_[group]) {
+  LoadGroup& slot = load_groups_[group];
+  if (slot.frac_dirty) {
     RefreshGroupFrac(group);
     // Leave the queue entry in place; the rollup re-refresh is idempotent.
-    group_frac_dirty_[group] = 0;
+    slot.frac_dirty = false;
   }
-  return {group_frac_[group].used, group_frac_[group].cap};
+  return {slot.frac.used, slot.frac.cap};
 }
 
 const std::vector<NodeId>& DfsCluster::LoadGroupServingNodes(uint32_t group) const {
-  EnsureLoadIndex();
   static const std::vector<NodeId> kEmpty;
-  if (group >= group_serving_.size()) {
-    return kEmpty;
-  }
-  return group_serving_[group];
+  return group < load_groups_.size() ? load_groups_[group].serving : kEmpty;
 }
 
-DfsCluster::GroupRateMax& DfsCluster::GroupRateMaxSlot(NodeId id) const {
-  uint32_t group = LoadGroupOf(id);
-  if (group == kInvalidLoadGroup) {
-    group = 0;
-  }
-  EnsureGroupSlots(group);
-  GroupRateMax& gm = group_rate_max_[group];
-  if (gm.epoch != window_epoch_) {
-    gm = GroupRateMax{};
-    gm.epoch = window_epoch_;
-  }
-  return gm;
-}
+// ---------------------------------------------------------------------------
+// Index updates
 
-uint64_t DfsCluster::GroupRateMaxValue(uint32_t group, bool cpu_dim) const {
-  if (group >= group_rate_max_.size() ||
-      group_rate_max_[group].epoch != window_epoch_) {
-    return 0;
-  }
-  return cpu_dim ? group_rate_max_[group].cpu : group_rate_max_[group].net;
-}
-
-void DfsCluster::RecomputeGroupRateMax(uint32_t group) const {
-  EnsureGroupSlots(group);
-  GroupRateMax& gm = group_rate_max_[group];
-  gm.epoch = window_epoch_;
-  gm.cpu = 0;
-  gm.net = 0;
-  if (group >= group_serving_.size()) {
-    return;
-  }
-  for (NodeId id : group_serving_[group]) {
-    gm.cpu = std::max(gm.cpu, WindowDelta(id, /*cpu_dim=*/true));
-    gm.net = std::max(gm.net, WindowDelta(id, /*cpu_dim=*/false));
-  }
-}
-
-uint64_t DfsCluster::MaxOverGroupRateMax(bool cpu_dim) const {
-  uint64_t max_delta = 0;
-  for (const GroupRateMax& gm : group_rate_max_) {
-    if (gm.epoch != window_epoch_) {
-      continue;
-    }
-    max_delta = std::max(max_delta, cpu_dim ? gm.cpu : gm.net);
-  }
-  return max_delta;
-}
-
-void DfsCluster::BeginNodeChargeWindow(NodeId id, const NodeLoadCounters& load) {
-  if (rate_windows_.size() <= id) {
-    rate_windows_.resize(id + 1);
-  }
-  NodeRateWindow& window = rate_windows_[id];
-  if (window.epoch != window_epoch_) {
-    window.epoch = window_epoch_;
-    window.base_cpu = load.cpu_seconds;
-    window.last_cpu = load.cpu_seconds;
-    window.base_net = load.requests + load.read_ios + load.write_ios;
-    window.cpu_ticks = 0;
-    window.net_delta = 0;
-  }
-}
-
-void DfsCluster::CommitNodeCharge(NodeId id, const NodeLoadCounters& load,
-                                  bool is_storage, bool serving) {
-  NodeRateWindow& window = rate_windows_[id];
-  // A clean group aggregate already reflects this window's current deltas
-  // (folded by an earlier commit or by RebuildRateAggs), so an unchanged
-  // dimension needs no work at all — not even the max fold. That lets the
-  // common partial charges (net-only injections, sub-quantum CPU nudges)
-  // skip the quantization and the 128-bit square updates entirely.
-  const bool live = serving && !load_index_dirty_;
-  uint64_t net_delta =
-      load.requests + load.read_ios + load.write_ios - window.base_net;
-  if (net_delta != window.net_delta) {
-    if (live) {
-      RateDimAgg& net_agg = is_storage ? net_storage_agg_ : net_meta_agg_;
-      net_agg.sum += net_delta - window.net_delta;
-      net_agg.sum_sq += static_cast<Uint128>(net_delta) * net_delta -
-                        static_cast<Uint128>(window.net_delta) * window.net_delta;
-      net_agg.max_delta = std::max(net_agg.max_delta, net_delta);
-      if (is_storage) {
-        GroupRateMax& gm = GroupRateMaxSlot(id);
-        gm.net = std::max(gm.net, net_delta);
-      }
-    }
-    window.net_delta = net_delta;
-  }
-  if (load.cpu_seconds != window.last_cpu) {
-    window.last_cpu = load.cpu_seconds;
-    uint64_t cpu_ticks =
-        QuantizeLoadDelta(load.cpu_seconds - window.base_cpu, kCpuLoadQuantum);
-    if (cpu_ticks != window.cpu_ticks) {
-      if (live) {
-        RateDimAgg& cpu_agg = is_storage ? cpu_storage_agg_ : cpu_meta_agg_;
-        cpu_agg.sum += cpu_ticks - window.cpu_ticks;
-        cpu_agg.sum_sq += static_cast<Uint128>(cpu_ticks) * cpu_ticks -
-                          static_cast<Uint128>(window.cpu_ticks) * window.cpu_ticks;
-        cpu_agg.max_delta = std::max(cpu_agg.max_delta, cpu_ticks);
-        if (is_storage) {
-          GroupRateMax& gm = GroupRateMaxSlot(id);
-          gm.cpu = std::max(gm.cpu, cpu_ticks);
-        }
-      }
-      window.cpu_ticks = cpu_ticks;
-    }
-  }
-}
-
-void DfsCluster::RecomputeRateMax(RateDimAgg& agg, bool is_storage,
-                                  bool cpu_dim) const {
-  const std::vector<NodeId>& members =
-      is_storage ? serving_storage_nodes_ : serving_meta_nodes_;
-  uint64_t max_delta = 0;
-  for (NodeId id : members) {
-    max_delta = std::max(max_delta, WindowDelta(id, cpu_dim));
-  }
-  agg.max_delta = max_delta;
-}
-
-void DfsCluster::RemoveNodeFromRateAggs(NodeId id, bool is_storage) {
-  if (load_index_dirty_) {
-    return;  // the pending rebuild reads the updated serving sets
-  }
-  uint64_t cpu = WindowDelta(id, /*cpu_dim=*/true);
-  uint64_t net = WindowDelta(id, /*cpu_dim=*/false);
-  RateDimAgg& cpu_agg = is_storage ? cpu_storage_agg_ : cpu_meta_agg_;
-  RateDimAgg& net_agg = is_storage ? net_storage_agg_ : net_meta_agg_;
-  cpu_agg.sum -= cpu;
-  cpu_agg.sum_sq -= static_cast<Uint128>(cpu) * cpu;
-  net_agg.sum -= net;
-  net_agg.sum_sq -= static_cast<Uint128>(net) * net;
-  // Only a departing maximum can lower the high-water mark; rescan the
-  // remaining members (the caller has already removed `id` from the lists).
-  // Storage departures rescan only the departed node's load group and then
-  // take the max over the per-group marks — O(group + #groups), not O(fleet).
-  if (is_storage) {
-    uint32_t group = LoadGroupOf(id);
-    if (group != kInvalidLoadGroup &&
-        ((cpu != 0 && cpu == GroupRateMaxValue(group, /*cpu_dim=*/true)) ||
-         (net != 0 && net == GroupRateMaxValue(group, /*cpu_dim=*/false)))) {
-      RecomputeGroupRateMax(group);
-    }
-    if (cpu != 0 && cpu == cpu_agg.max_delta) {
-      cpu_agg.max_delta = MaxOverGroupRateMax(/*cpu_dim=*/true);
-    }
-    if (net != 0 && net == net_agg.max_delta) {
-      net_agg.max_delta = MaxOverGroupRateMax(/*cpu_dim=*/false);
-    }
-    return;
-  }
-  if (cpu != 0 && cpu == cpu_agg.max_delta) {
-    RecomputeRateMax(cpu_agg, is_storage, /*cpu_dim=*/true);
-  }
-  if (net != 0 && net == net_agg.max_delta) {
-    RecomputeRateMax(net_agg, is_storage, /*cpu_dim=*/false);
-  }
-}
-
-void DfsCluster::OnMetaNodeUnserving(NodeId id) {
-  RemoveNodeFromRateAggs(id, /*is_storage=*/false);
-}
-
-void DfsCluster::ApplyUsedBytesDelta(const Brick& brick, uint64_t old_used) {
-  ++load_epoch_;
-  if (load_index_dirty_) {
-    return;  // the pending rebuild recomputes everything from ground truth
-  }
-  uint64_t delta = brick.used_bytes - old_used;  // two's complement: may wrap
-  total_used_all_ += delta;
-  if (brick.node >= node_agg_.size()) {
-    return;
-  }
+void DfsCluster::SetBrickBytes(Brick& brick, uint64_t used, uint64_t capacity) {
+  // Two's-complement deltas: a decrease wraps, and the sums wrap back.
+  uint64_t used_delta = used - brick.used_bytes;
+  uint64_t cap_delta = capacity - brick.capacity_bytes;
+  uint64_t over_delta =
+      Excess(used, capacity) - Excess(brick.used_bytes, brick.capacity_bytes);
+  brick.used_bytes = used;
+  brick.capacity_bytes = capacity;
+  total_used_all_ += used_delta;
   NodeLoadAgg& agg = node_agg_[brick.node];
-  agg.used_all += delta;
+  agg.used_all += used_delta;
   if (!brick.online) {
     return;
   }
-  agg.used_online += delta;
+  agg.used_online += used_delta;
+  agg.cap_online += cap_delta;
   if (agg.serving) {
-    MarkGroupDirty(brick.node);
-    fleet_used_ += delta;
-    uint64_t old_over =
-        old_used > brick.capacity_bytes ? old_used - brick.capacity_bytes : 0;
-    uint64_t new_over = brick.used_bytes > brick.capacity_bytes
-                            ? brick.used_bytes - brick.capacity_bytes
-                            : 0;
-    fleet_overflow_ += new_over - old_over;
+    MarkGroupDirty(LoadGroupOf(brick.node));
+    fleet_used_ += used_delta;
+    fleet_cap_ += cap_delta;
+    fleet_overflow_ += over_delta;
   }
-}
-
-void DfsCluster::UpdateBrickFraction(const Brick& brick) {
-  if (brick_fraction_.size() <= brick.id) {
-    brick_fraction_.resize(brick.id + 1, 0.0);
-  }
-  brick_fraction_[brick.id] = brick.UsedFraction();
 }
 
 void DfsCluster::AccreteBrickBytes(Brick* brick, uint64_t bytes) {
-  if (brick == nullptr || bytes == 0) {
-    return;
+  if (brick != nullptr && bytes != 0) {
+    SetBrickBytes(*brick, brick->used_bytes + bytes, brick->capacity_bytes);
   }
-  uint64_t old_used = brick->used_bytes;
-  brick->used_bytes += bytes;
-  UpdateBrickFraction(*brick);
-  ApplyUsedBytesDelta(*brick, old_used);
 }
 
 void DfsCluster::ReleaseBrickBytes(Brick* brick, uint64_t bytes) {
-  if (brick == nullptr || bytes == 0) {
-    return;
-  }
-  uint64_t old_used = brick->used_bytes;
-  brick->used_bytes -= std::min(old_used, bytes);
-  if (brick->used_bytes != old_used) {
-    UpdateBrickFraction(*brick);
-    ApplyUsedBytesDelta(*brick, old_used);
+  if (brick != nullptr && bytes != 0 && brick->used_bytes != 0) {
+    SetBrickBytes(*brick, brick->used_bytes - std::min(brick->used_bytes, bytes),
+                  brick->capacity_bytes);
   }
 }
 
-void DfsCluster::OnStorageNodeAdded(NodeId id) {
-  ++load_epoch_;
-  ++membership_epoch_;
-  if (load_index_dirty_) {
-    return;
-  }
-  if (node_agg_.size() <= id) {
-    node_agg_.resize(id + 1);
-  }
-  NodeLoadAgg agg;
-  agg.serving = true;
-  node_agg_[id] = agg;
-  // Node ids are monotonic, so appending preserves storage_nodes_ map order
-  // (and the per-group serving lists inherit the same sortedness).
-  serving_storage_nodes_.push_back(id);
-  uint32_t group = LoadGroupOf(id);
-  if (group != kInvalidLoadGroup) {
-    EnsureGroupSlots(group);
-    group_serving_[group].push_back(id);
-  }
-  MarkGroupDirty(id);
-}
-
-void DfsCluster::OnBrickAdded(const Brick& brick) {
-  ++load_epoch_;
-  ++membership_epoch_;
-  if (load_index_dirty_) {
-    return;
-  }
-  if (brick.node >= node_agg_.size()) {
-    return;
-  }
-  NodeLoadAgg& agg = node_agg_[brick.node];
-  agg.used_all += brick.used_bytes;
-  if (!brick.online) {
-    return;
-  }
-  agg.used_online += brick.used_bytes;
-  agg.cap_online += brick.capacity_bytes;
-  if (agg.serving) {
-    MarkGroupDirty(brick.node);
-    // Brick ids are monotonic, so appending preserves bricks_ map order.
-    serving_bricks_.push_back(brick.id);
+void DfsCluster::SetBrickInFleet(const Brick& brick, bool in) {
+  uint64_t over = Excess(brick.used_bytes, brick.capacity_bytes);
+  if (in) {
     fleet_used_ += brick.used_bytes;
     fleet_cap_ += brick.capacity_bytes;
-    if (brick.used_bytes > brick.capacity_bytes) {
-      fleet_overflow_ += brick.used_bytes - brick.capacity_bytes;
-    }
-  }
-}
-
-void DfsCluster::OnStorageNodeUnserving(NodeId id) {
-  ++load_epoch_;
-  ++membership_epoch_;
-  if (load_index_dirty_) {
-    return;
-  }
-  if (id >= node_agg_.size() || !node_agg_[id].serving) {
-    return;
-  }
-  node_agg_[id].serving = false;
-  auto pos = std::lower_bound(serving_storage_nodes_.begin(),
-                              serving_storage_nodes_.end(), id);
-  if (pos != serving_storage_nodes_.end() && *pos == id) {
-    serving_storage_nodes_.erase(pos);
-  }
-  uint32_t group = LoadGroupOf(id);
-  if (group != kInvalidLoadGroup && group < group_serving_.size()) {
-    auto gpos = std::lower_bound(group_serving_[group].begin(),
-                                 group_serving_[group].end(), id);
-    if (gpos != group_serving_[group].end() && *gpos == id) {
-      group_serving_[group].erase(gpos);
-    }
-  }
-  MarkGroupDirty(id);
-  // The departing node's rate-window deltas leave the storage-group
-  // streaming aggregates too (the monitor only compares serving nodes).
-  RemoveNodeFromRateAggs(id, /*is_storage=*/true);
-  // The node's online bricks leave the fleet (they are no longer serving)
-  // but stay in the per-node sums: SampleLoad still reports a crashed
-  // node's mounted bricks.
-  const StorageNode* node = FindStorageNode(id);
-  if (node == nullptr) {
-    return;
-  }
-  for (BrickId b : node->bricks) {
-    const Brick* brick = FindBrick(b);
-    if (brick == nullptr || !brick->online) {
-      continue;
-    }
-    fleet_used_ -= brick->used_bytes;
-    fleet_cap_ -= brick->capacity_bytes;
-    if (brick->used_bytes > brick->capacity_bytes) {
-      fleet_overflow_ -= brick->used_bytes - brick->capacity_bytes;
-    }
-    auto bpos = std::lower_bound(serving_bricks_.begin(), serving_bricks_.end(), b);
-    if (bpos != serving_bricks_.end() && *bpos == b) {
-      serving_bricks_.erase(bpos);
-    }
-  }
-}
-
-void DfsCluster::OnBrickOffline(const Brick& brick) {
-  ++load_epoch_;
-  ++membership_epoch_;
-  if (load_index_dirty_) {
-    return;
-  }
-  if (brick.node >= node_agg_.size()) {
-    return;
-  }
-  NodeLoadAgg& agg = node_agg_[brick.node];
-  agg.used_online -= brick.used_bytes;
-  agg.cap_online -= brick.capacity_bytes;
-  if (agg.serving) {
-    MarkGroupDirty(brick.node);
+    fleet_overflow_ += over;
+  } else {
     fleet_used_ -= brick.used_bytes;
     fleet_cap_ -= brick.capacity_bytes;
-    if (brick.used_bytes > brick.capacity_bytes) {
-      fleet_overflow_ -= brick.used_bytes - brick.capacity_bytes;
-    }
-    auto pos = std::lower_bound(serving_bricks_.begin(), serving_bricks_.end(),
-                                brick.id);
-    if (pos != serving_bricks_.end() && *pos == brick.id) {
-      serving_bricks_.erase(pos);
+    fleet_overflow_ -= over;
+  }
+  SetSortedMember(serving_bricks_, brick.id, in);
+}
+
+void DfsCluster::SetBrickOnline(Brick& brick, bool online) {
+  brick.online = online;
+  ++membership_epoch_;
+  NodeLoadAgg& agg = node_agg_[brick.node];
+  if (online) {
+    agg.used_online += brick.used_bytes;
+    agg.cap_online += brick.capacity_bytes;
+  } else {
+    ++offline_bricks_;
+    offline_brick_list_.push_back(brick.id);
+    agg.used_online -= brick.used_bytes;
+    agg.cap_online -= brick.capacity_bytes;
+  }
+  if (agg.serving) {
+    MarkGroupDirty(LoadGroupOf(brick.node));
+    SetBrickInFleet(brick, online);
+  }
+}
+
+void DfsCluster::SetStorageNodeServing(NodeId id, bool serving) {
+  ++membership_epoch_;
+  NodeLoadAgg& agg = node_agg_[id];
+  if (agg.serving == serving) {
+    return;
+  }
+  agg.serving = serving;
+  uint32_t group = LoadGroupOf(id);
+  SetSortedMember(serving_storage_nodes_, id, serving);
+  SetSortedMember(load_groups_[group].serving, id, serving);
+  MarkGroupDirty(group);
+  // The monitor only compares serving nodes, so the node's rate-window
+  // deltas follow it into or out of the streaming aggregates.
+  SetNodeInRateAggs(id, /*is_storage=*/true, serving);
+  for (BrickId b : FindStorageNode(id)->bricks) {
+    const Brick* brick = FindBrick(b);
+    if (brick != nullptr && brick->online) {
+      SetBrickInFleet(*brick, serving);
     }
   }
 }
 
-void DfsCluster::OnBrickCapacityChanged(const Brick& brick, uint64_t old_capacity) {
-  ++load_epoch_;
-  if (load_index_dirty_ || !brick.online) {
-    return;
-  }
-  uint64_t delta = brick.capacity_bytes - old_capacity;  // may wrap; sums re-wrap
-  if (brick.node >= node_agg_.size()) {
-    return;
-  }
-  NodeLoadAgg& agg = node_agg_[brick.node];
-  agg.cap_online += delta;
-  if (agg.serving) {
-    MarkGroupDirty(brick.node);
-    fleet_cap_ += delta;
-    uint64_t old_over =
-        brick.used_bytes > old_capacity ? brick.used_bytes - old_capacity : 0;
-    uint64_t new_over = brick.used_bytes > brick.capacity_bytes
-                            ? brick.used_bytes - brick.capacity_bytes
-                            : 0;
-    fleet_overflow_ += new_over - old_over;
-  }
+void DfsCluster::SetMetaNodeServing(NodeId id, bool serving) {
+  ++membership_epoch_;
+  SetSortedMember(serving_meta_nodes_, id, serving);
+  SetNodeInRateAggs(id, /*is_storage=*/false, serving);
 }
 
 const std::vector<BrickId>& DfsCluster::ServingBricks() const {
-  EnsureLoadIndex();
   return serving_bricks_;
 }
 
 const std::vector<NodeId>& DfsCluster::ServingStorageNodeIds() const {
-  EnsureLoadIndex();
   return serving_storage_nodes_;
 }
 
-uint64_t DfsCluster::TotalCapacityBytes() const {
-  EnsureLoadIndex();
-  return fleet_cap_;
-}
+uint64_t DfsCluster::TotalCapacityBytes() const { return fleet_cap_; }
 
-uint64_t DfsCluster::TotalUsedBytes() const {
-  EnsureLoadIndex();
-  return total_used_all_;
-}
+uint64_t DfsCluster::TotalUsedBytes() const { return total_used_all_; }
 
-uint64_t DfsCluster::TotalServingUsedBytes() const {
-  EnsureLoadIndex();
-  return fleet_used_;
-}
+uint64_t DfsCluster::TotalServingUsedBytes() const { return fleet_used_; }
 
 uint64_t DfsCluster::FreeSpaceBytes() const {
   // capacity - sum(min(used, capacity)) over serving bricks; min(used, cap)
   // = used - max(0, used - cap), so the clamped sum falls out of the
   // maintained overflow aggregate.
-  EnsureLoadIndex();
   return fleet_cap_ - (fleet_used_ - fleet_overflow_);
 }
 
 std::vector<double> DfsCluster::PerNodeUsedBytes() const {
-  EnsureLoadIndex();
   std::vector<double> out;
   out.reserve(serving_storage_nodes_.size());
   for (NodeId id : serving_storage_nodes_) {
@@ -816,7 +476,6 @@ std::vector<double> DfsCluster::PerNodeUsedBytes() const {
 }
 
 std::vector<double> DfsCluster::PerNodeUsedFraction() const {
-  EnsureLoadIndex();
   std::vector<double> out;
   out.reserve(serving_storage_nodes_.size());
   for (NodeId id : serving_storage_nodes_) {
@@ -829,11 +488,10 @@ std::vector<double> DfsCluster::PerNodeUsedFraction() const {
 }
 
 const DfsCluster::FractionStats& DfsCluster::EnsureFractionStats() const {
-  // One memoized scan feeds both the balancer-threshold spread and the
+  // One memoized rollup feeds both the balancer-threshold spread and the
   // storage dimension of the streaming LoadStatsSnapshot: per-op balance
   // checks keep the memo warm, so the monitor's storage numbers are O(1).
-  EnsureLoadIndex();
-  if (imbalance_epoch_ == load_epoch_) {
+  if (dirty_groups_.empty()) {
     return fraction_memo_;
   }
   // Refresh only the groups ops have dirtied since the last read, then roll
@@ -844,11 +502,12 @@ const DfsCluster::FractionStats& DfsCluster::EnsureFractionStats() const {
   // DESIGN.md §13 holds unchanged at 10k nodes.
   for (uint32_t group : dirty_groups_) {
     RefreshGroupFrac(group);
-    group_frac_dirty_[group] = 0;
+    load_groups_[group].frac_dirty = false;
   }
   dirty_groups_.clear();
   FractionStats stats;
-  for (const GroupFracAgg& agg : group_frac_) {
+  for (const LoadGroup& group : load_groups_) {
+    const GroupFracAgg& agg = group.frac;
     if (agg.nodes == 0) {
       continue;
     }
@@ -866,7 +525,6 @@ const DfsCluster::FractionStats& DfsCluster::EnsureFractionStats() const {
         static_cast<double>(fleet_used_) / static_cast<double>(fleet_cap_);
     stats.spread = std::max(0.0, stats.max_fraction - fleet);
   }
-  imbalance_epoch_ = load_epoch_;
   fraction_memo_ = stats;
   return fraction_memo_;
 }
@@ -884,7 +542,6 @@ double DfsCluster::StorageImbalance() const {
 MigrationPlan DfsCluster::PlanLevelingByUsage(
     double tolerance, const std::map<BrickId, uint64_t>* extra_inflow) const {
   MigrationPlan plan;
-  EnsureLoadIndex();
   const std::vector<BrickId>& serving = serving_bricks_;
   if (serving.size() < 2) {
     return plan;
@@ -1011,70 +668,64 @@ std::vector<BrickId> DfsCluster::ListBricks() const { return ServingBricks(); }
 // ---------------------------------------------------------------------------
 // Load accounting
 
-// Every counter mutation is bracketed by BeginNodeChargeWindow (captures the
-// rate-window base on the node's first charge of the window) and
-// CommitNodeCharge (pushes the new window delta into the streaming group
-// aggregates) — the push-based equivalent of the old scan-and-difference.
-
-void DfsCluster::ChargeStorage(NodeId node, uint64_t reads, uint64_t writes,
-                               double cpu_seconds) {
-  StorageNode* sn = FindStorageNode(node);
-  if (sn == nullptr) {
-    return;
-  }
-  BeginNodeChargeWindow(node, sn->load);
-  sn->load.read_ios += reads;
-  sn->load.write_ios += writes;
-  sn->load.cpu_seconds += cpu_seconds;
-  CommitNodeCharge(node, sn->load, /*is_storage=*/true, sn->Serving());
-}
-
-void DfsCluster::ChargeMeta(NodeId node, uint64_t requests, double cpu_seconds) {
-  auto it = meta_nodes_.find(node);
-  if (it == meta_nodes_.end()) {
-    return;
-  }
-  BeginNodeChargeWindow(node, it->second.load);
-  it->second.load.requests += requests;
-  it->second.load.cpu_seconds += cpu_seconds;
-  CommitNodeCharge(node, it->second.load, /*is_storage=*/false,
-                   it->second.Serving());
-}
-
-void DfsCluster::InjectCpuLoad(NodeId node, double cpu_seconds) {
+// Every counter mutation goes through ChargeNode: it captures the rate-window
+// base on the node's first charge of the window, then pushes the new window
+// delta into the streaming aggregates — the push-based equivalent of the old
+// scan-and-difference.
+void DfsCluster::ChargeNode(NodeId node, uint64_t requests, uint64_t reads,
+                            uint64_t writes, double cpu_seconds) {
+  NodeLoadCounters* load = nullptr;
+  bool is_storage = false;
+  bool serving = false;
   if (StorageNode* sn = FindStorageNode(node)) {
-    BeginNodeChargeWindow(node, sn->load);
-    sn->load.cpu_seconds += cpu_seconds;
-    CommitNodeCharge(node, sn->load, /*is_storage=*/true, sn->Serving());
+    load = &sn->load;
+    is_storage = true;
+    serving = sn->Serving();
+  } else if (auto it = meta_nodes_.find(node); it != meta_nodes_.end()) {
+    load = &it->second.load;
+    serving = it->second.Serving();
+  } else {
     return;
   }
-  auto it = meta_nodes_.find(node);
-  if (it != meta_nodes_.end()) {
-    BeginNodeChargeWindow(node, it->second.load);
-    it->second.load.cpu_seconds += cpu_seconds;
-    CommitNodeCharge(node, it->second.load, /*is_storage=*/false,
-                     it->second.Serving());
+  if (rate_windows_.size() <= node) {
+    rate_windows_.resize(node + 1);
   }
-}
-
-void DfsCluster::InjectNetLoad(NodeId node, uint64_t reads, uint64_t writes,
-                               uint64_t requests) {
-  if (StorageNode* sn = FindStorageNode(node)) {
-    BeginNodeChargeWindow(node, sn->load);
-    sn->load.read_ios += reads;
-    sn->load.write_ios += writes;
-    sn->load.requests += requests;
-    CommitNodeCharge(node, sn->load, /*is_storage=*/true, sn->Serving());
-    return;
+  NodeRateWindow& window = rate_windows_[node];
+  if (window.epoch != window_epoch_) {
+    window.epoch = window_epoch_;
+    window.base_cpu = load->cpu_seconds;
+    window.last_cpu = load->cpu_seconds;
+    window.base_net = load->requests + load->read_ios + load->write_ios;
+    window.cpu_ticks = 0;
+    window.net_delta = 0;
   }
-  auto it = meta_nodes_.find(node);
-  if (it != meta_nodes_.end()) {
-    BeginNodeChargeWindow(node, it->second.load);
-    it->second.load.read_ios += reads;
-    it->second.load.write_ios += writes;
-    it->second.load.requests += requests;
-    CommitNodeCharge(node, it->second.load, /*is_storage=*/false,
-                     it->second.Serving());
+  load->requests += requests;
+  load->read_ios += reads;
+  load->write_ios += writes;
+  load->cpu_seconds += cpu_seconds;
+  // The aggregates already hold this window's current deltas, so an
+  // unchanged dimension needs no work at all. That lets the common partial
+  // charges (net-only injections, sub-quantum CPU nudges) skip the
+  // quantization and the 128-bit square updates entirely. Non-serving nodes
+  // keep their windows current but stay out of the aggregates.
+  uint64_t net_delta =
+      load->requests + load->read_ios + load->write_ios - window.base_net;
+  if (net_delta != window.net_delta) {
+    if (serving) {
+      RateAgg(is_storage, /*cpu_dim=*/false).Update(window.net_delta, net_delta);
+    }
+    window.net_delta = net_delta;
+  }
+  if (load->cpu_seconds != window.last_cpu) {
+    window.last_cpu = load->cpu_seconds;
+    uint64_t cpu_ticks =
+        QuantizeLoadDelta(load->cpu_seconds - window.base_cpu, kCpuLoadQuantum);
+    if (cpu_ticks != window.cpu_ticks) {
+      if (serving) {
+        RateAgg(is_storage, /*cpu_dim=*/true).Update(window.cpu_ticks, cpu_ticks);
+      }
+      window.cpu_ticks = cpu_ticks;
+    }
   }
 }
 
@@ -1086,7 +737,7 @@ void DfsCluster::CrashNode(NodeId node) {
     }
     sn->crashed = true;
     if (was_serving) {
-      OnStorageNodeUnserving(node);
+      SetStorageNodeServing(node, false);
     }
     return;
   }
@@ -1098,13 +749,7 @@ void DfsCluster::CrashNode(NodeId node) {
     }
     it->second.crashed = true;
     if (was_serving) {
-      auto pos = std::lower_bound(serving_meta_nodes_.begin(),
-                                  serving_meta_nodes_.end(), node);
-      if (pos != serving_meta_nodes_.end() && *pos == node) {
-        serving_meta_nodes_.erase(pos);
-      }
-      ++membership_epoch_;
-      OnMetaNodeUnserving(node);
+      SetMetaNodeServing(node, false);
     }
   }
 }
@@ -1147,9 +792,9 @@ void DfsCluster::RestartNode(NodeId node) {
       COV_BRANCH(cov_, CovModule::kRecovery, 32);
       sn->crashed = false;
       --crashed_nodes_;
-      // Rejoining the serving set re-admits the node's bricks to the fleet
-      // aggregates; the full rebuild is the only path that re-adds members.
-      InvalidateLoadIndex();
+      // The inverse of the crash: the node and its online bricks rejoin the
+      // serving set (a decommissioned node stays out).
+      SetStorageNodeServing(node, sn->Serving());
     }
     return;
   }
@@ -1161,14 +806,7 @@ void DfsCluster::RestartNode(NodeId node) {
   it->second.crashed = false;
   --crashed_nodes_;
   if (it->second.Serving()) {
-    auto pos = std::lower_bound(serving_meta_nodes_.begin(),
-                                serving_meta_nodes_.end(), node);
-    if (pos == serving_meta_nodes_.end() || *pos != node) {
-      serving_meta_nodes_.insert(pos, node);
-    }
-    // The node's still-current rate-window deltas must rejoin the meta
-    // streaming aggregates; the full rebuild is the only re-adding path.
-    InvalidateLoadIndex();
+    SetMetaNodeServing(node, true);
   }
   if (balancer_crashed_) {
     // First recovered meta node brings the balancer process back up; it
@@ -1342,14 +980,6 @@ void DfsCluster::RemoveReplicaIndex(BrickId brick, FileId file, uint32_t chunk) 
   }
 }
 
-std::vector<std::pair<FileId, uint32_t>> DfsCluster::ChunksOnBrick(BrickId brick) const {
-  auto it = brick_chunks_.find(brick);
-  if (it == brick_chunks_.end()) {
-    return {};
-  }
-  return it->second;
-}
-
 const std::vector<std::pair<FileId, uint32_t>>& DfsCluster::ChunksOnBrickRef(
     BrickId brick) const {
   static const std::vector<std::pair<FileId, uint32_t>> kEmpty;
@@ -1367,11 +997,12 @@ BrickId DfsCluster::NewBrickOnNode(NodeId node, uint64_t capacity) {
   }
   BrickId id = next_brick_id_++;
   Brick& brick = bricks_[id];
-  brick = Brick{.id = id, .node = node, .capacity_bytes = capacity};
-  UpdateBrickFraction(brick);
+  // Created offline and then brought online: a new brick holds no bytes, so
+  // going online adds only its capacity to the sums.
+  brick = Brick{.id = id, .node = node, .capacity_bytes = capacity, .online = false};
   IndexBrickPtr(id, &brick);
   sn->bricks.push_back(id);
-  OnBrickAdded(brick);
+  SetBrickOnline(brick, true);
   return id;
 }
 
@@ -1386,7 +1017,10 @@ NodeId DfsCluster::AddStorageNodeInternal(uint64_t brick_capacity) {
   // add-order-dependent, so the assignment is real state — snapshot v5
   // persists it) and must exist before the serving-list hooks run.
   AssignLoadGroup(id);
-  OnStorageNodeAdded(id);
+  if (node_agg_.size() <= id) {
+    node_agg_.resize(id + 1);
+  }
+  SetStorageNodeServing(id, true);
   NewBrickOnNode(id, brick_capacity);
   return id;
 }
@@ -1421,7 +1055,7 @@ NodeId DfsCluster::RouteToMetaNode(const Operation& op) {
   // cluster spreads requests evenly, so network imbalance is a *signal*,
   // not sampling noise.
   NodeId chosen = serving_meta_nodes_[total_ops_executed_ % serving_meta_nodes_.size()];
-  ChargeMeta(chosen, 1, kMetaCpuPerOp);
+  ChargeNode(chosen, 1, 0, 0, kMetaCpuPerOp);
   return chosen;
 }
 
@@ -1673,9 +1307,9 @@ void DfsCluster::ChargeLayoutIo(const FileLayout& layout, bool is_write) {
         continue;
       }
       if (is_write) {
-        ChargeStorage(brick->node, 0, ios, cpu);
+        ChargeNode(brick->node, 0, 0, ios, cpu);
       } else {
-        ChargeStorage(brick->node, ios, 0, cpu * 0.5);
+        ChargeNode(brick->node, 0, ios, 0, cpu * 0.5);
       }
     }
   }
@@ -1785,8 +1419,8 @@ OpResult DfsCluster::DoAppend(const Operation& op) {
       for (BrickId b : last.replicas) {
         Brick* brick = FindBrick(b);
         AccreteBrickBytes(brick, bytes);
-        ChargeStorage(brick->node, 0, IoCount(bytes),
-                      kStorageCpuPerGiB * static_cast<double>(bytes) / kGiB);
+        ChargeNode(brick->node, 0, 0, IoCount(bytes),
+                   kStorageCpuPerGiB * static_cast<double>(bytes) / kGiB);
       }
       layout.size += bytes;
       result.status = tree_.SetFileSize(rid, layout.size);
@@ -1814,8 +1448,8 @@ OpResult DfsCluster::DoAppend(const Operation& op) {
       Brick* brick = FindBrick(b);
       AccreteBrickBytes(brick, piece);
       AddReplicaIndex(b, *id, index);
-      ChargeStorage(brick->node, 0, IoCount(piece),
-                    kStorageCpuPerGiB * static_cast<double>(piece) / kGiB);
+      ChargeNode(brick->node, 0, 0, IoCount(piece),
+                 kStorageCpuPerGiB * static_cast<double>(piece) / kGiB);
     }
     layout.chunks.push_back(std::move(chunk));
     layout.size += piece;
@@ -1937,10 +1571,9 @@ OpResult DfsCluster::DoAddMetaNode(const Operation& op) {
   }
   NodeId id = next_node_id_++;
   MetaNode node;
-    node.id = id;
-    meta_nodes_[id] = node;
-  serving_meta_nodes_.push_back(id);  // node ids are monotonic: stays sorted
-  ++membership_epoch_;
+  node.id = id;
+  meta_nodes_[id] = node;
+  SetMetaNodeServing(id, true);
   result.cost = Seconds(5);
   NotifyTopologyChanged();
   result.status = Status::Ok();
@@ -1961,13 +1594,7 @@ OpResult DfsCluster::DoRemoveMetaNode(const Operation& op) {
     return result;
   }
   it->second.online = false;
-  auto pos = std::lower_bound(serving_meta_nodes_.begin(),
-                              serving_meta_nodes_.end(), target);
-  if (pos != serving_meta_nodes_.end() && *pos == target) {
-    serving_meta_nodes_.erase(pos);
-  }
-  ++membership_epoch_;
-  OnMetaNodeUnserving(target);
+  SetMetaNodeServing(target, false);
   result.cost = Seconds(3);
   NotifyTopologyChanged();
   result.status = Status::Ok();
@@ -2016,20 +1643,12 @@ OpResult DfsCluster::DoRemoveStorageNode(const Operation& op) {
     result.status = Status::FailedPrecondition("too few bricks would remain");
     return result;
   }
-  bool was_serving = node->Serving();
   node->online = false;
-  if (was_serving) {
-    OnStorageNodeUnserving(op.node);
-  }
+  SetStorageNodeServing(op.node, false);
   for (BrickId b : node->bricks) {
     Brick* brick = FindBrick(b);
-    if (brick != nullptr) {
-      if (brick->online) {
-        ++offline_bricks_;
-        offline_brick_list_.push_back(b);
-        brick->online = false;
-        OnBrickOffline(*brick);
-      }
+    if (brick != nullptr && brick->online) {
+      SetBrickOnline(*brick, false);
     }
   }
   OnStorageNodeDecommissioned(op.node);
@@ -2103,10 +1722,7 @@ OpResult DfsCluster::DoRemoveVolume(const Operation& op) {
     result.status = Status::FailedPrecondition("insufficient space to evacuate brick");
     return result;
   }
-  brick->online = false;  // draining: no new placements
-  ++offline_bricks_;
-  offline_brick_list_.push_back(op.brick);
-  OnBrickOffline(*brick);
+  SetBrickOnline(*brick, false);  // draining: no new placements
   ScheduleEvacuation(op.brick);
   result.cost = Seconds(10);
   NotifyTopologyChanged();
@@ -2130,10 +1746,8 @@ OpResult DfsCluster::DoExpandVolume(const Operation& op) {
     result.status = Status::FailedPrecondition("volume already at maximum size");
     return result;
   }
-  uint64_t old_capacity = brick->capacity_bytes;
-  brick->capacity_bytes = std::min(brick->capacity_bytes + delta, cap_limit);
-  UpdateBrickFraction(*brick);
-  OnBrickCapacityChanged(*brick, old_capacity);
+  SetBrickBytes(*brick, brick->used_bytes,
+                std::min(brick->capacity_bytes + delta, cap_limit));
   result.cost = Seconds(8);
   NotifyTopologyChanged();
   result.status = Status::Ok();
@@ -2154,11 +1768,11 @@ OpResult DfsCluster::DoReduceVolume(const Operation& op) {
   delta = std::min(delta, brick->capacity_bytes * 2 / 5);
   uint64_t new_capacity =
       std::max(brick->capacity_bytes - delta, kMinBrickCapacity);
-  if (brick->used_bytes > new_capacity) {
-    // Shrinking below the stored data strands it; refuse unless the rest of
-    // the cluster can absorb the overflow (what lvreduce/remove-brick
-    // preflights enforce).
-    uint64_t overflow = brick->used_bytes - new_capacity;
+  // Shrinking below the stored data strands it; refuse unless the rest of
+  // the cluster can absorb the overflow (what lvreduce/remove-brick
+  // preflights enforce).
+  uint64_t overflow = Excess(brick->used_bytes, new_capacity);
+  if (overflow > 0) {
     // Same O(1) subtraction as DoRemoveVolume: fleet free minus this
     // brick's clamped share equals the old per-brick walk exactly.
     const StorageNode* owner = FindStorageNode(brick->node);
@@ -2171,16 +1785,10 @@ OpResult DfsCluster::DoReduceVolume(const Operation& op) {
       result.status = Status::FailedPrecondition("reduction would strand data");
       return result;
     }
-    uint64_t old_capacity = brick->capacity_bytes;
-    brick->capacity_bytes = new_capacity;
-    UpdateBrickFraction(*brick);
-    OnBrickCapacityChanged(*brick, old_capacity);
+  }
+  SetBrickBytes(*brick, brick->used_bytes, new_capacity);
+  if (overflow > 0) {
     ScheduleOverflowEvacuation(op.brick, overflow);
-  } else {
-    uint64_t old_capacity = brick->capacity_bytes;
-    brick->capacity_bytes = new_capacity;
-    UpdateBrickFraction(*brick);
-    OnBrickCapacityChanged(*brick, old_capacity);
   }
   result.cost = Seconds(8);
   NotifyTopologyChanged();
@@ -2226,8 +1834,8 @@ void DfsCluster::BuildRecoveryPassNow() const {
   recovery_pass_built_ = true;
   uint32_t order = 0;
   for (BrickId id : ServingBricks()) {
-    recovery_heap_.push_back(
-        RecoveryCandidate{brick_fraction_[id], order++, id});
+    const Brick* brick = FindBrick(id);
+    recovery_heap_.push_back(RecoveryCandidate{brick->UsedFraction(), order++, brick});
   }
   std::make_heap(recovery_heap_.begin(), recovery_heap_.end(),
                  RecoveryCandidateAfter);
@@ -2275,8 +1883,8 @@ BrickId DfsCluster::PickRecoveryTarget(const ChunkPlacement& chunk,
     if (cand == nullptr || cand->used_fraction > best_used) {
       break;
     }
-    const Brick* cand_brick = FindBrick(cand->id);
-    if (cand_brick->FreeBytes() < bytes || chunk.HasReplicaOn(cand->id)) {
+    const Brick* cand_brick = cand->brick;
+    if (cand_brick->FreeBytes() < bytes || chunk.HasReplicaOn(cand_brick->id)) {
       continue;
     }
     // Keep replicas on distinct nodes when possible.
@@ -2291,7 +1899,7 @@ BrickId DfsCluster::PickRecoveryTarget(const ChunkPlacement& chunk,
     if (used < best_used || (used == best_used && cand->order < best_order)) {
       best_used = used;
       best_order = cand->order;
-      best = cand->id;
+      best = cand_brick->id;
     }
   }
   return best;
@@ -2399,8 +2007,8 @@ Status DfsCluster::TriggerRebalance() {
   // PickIndex fires iff the list is non-empty, so the RNG stream is
   // unchanged.
   if (!serving_meta_nodes_.empty()) {
-    ChargeMeta(serving_meta_nodes_[rng_.PickIndex(serving_meta_nodes_.size())],
-               0, kBalancerCpuPerPlan);
+    ChargeNode(serving_meta_nodes_[rng_.PickIndex(serving_meta_nodes_.size())],
+               0, 0, 0, kBalancerCpuPerPlan);
   }
   if (cov_ != nullptr) {
     uint64_t features = HashCombine(plan.size() / 4, static_cast<uint64_t>(
@@ -2478,12 +2086,12 @@ void DfsCluster::ExecuteMove(const ChunkMove& move) {
   *replica_it = move.to;
   if (from != nullptr) {
     ReleaseBrickBytes(from, chunk.bytes);
-    ChargeStorage(from->node, IoCount(chunk.bytes), 0,
-                  kStorageCpuPerGiB * static_cast<double>(chunk.bytes) / kGiB * 0.5);
+    ChargeNode(from->node, 0, IoCount(chunk.bytes), 0,
+               kStorageCpuPerGiB * static_cast<double>(chunk.bytes) / kGiB * 0.5);
   }
   AccreteBrickBytes(to, chunk.bytes);
-  ChargeStorage(to->node, 0, IoCount(chunk.bytes),
-                kStorageCpuPerGiB * static_cast<double>(chunk.bytes) / kGiB);
+  ChargeNode(to->node, 0, 0, IoCount(chunk.bytes),
+             kStorageCpuPerGiB * static_cast<double>(chunk.bytes) / kGiB);
   RemoveReplicaIndex(move.from, move.file, move.chunk_index);
   AddReplicaIndex(move.to, move.file, move.chunk_index);
   if (cov_ != nullptr) {
@@ -2575,7 +2183,7 @@ void DfsCluster::AdvanceBackground(SimDuration dt) {
         uint64_t burned = std::min(budget, move.bytes);
         budget -= burned;
         if (Brick* src = FindBrick(move.from)) {
-          ChargeStorage(src->node, IoCount(move.bytes), 0, 0.0);
+          ChargeNode(src->node, 0, IoCount(move.bytes), 0, 0.0);
         }
         move_queue_.pop_front();
         continue;
@@ -2697,7 +2305,6 @@ void DfsCluster::FinishRebalanceIfDrained() {
 // Load sampling / coverage
 
 void DfsCluster::SampleLoadInto(std::vector<LoadSample>& out) const {
-  EnsureLoadIndex();
   out.clear();
   out.reserve(storage_nodes_.size() + meta_nodes_.size());
   for (const auto& [id, node] : storage_nodes_) {
@@ -2709,10 +2316,8 @@ void DfsCluster::SampleLoadInto(std::vector<LoadSample>& out) const {
     // Draining (offline) bricks are unmounted from the balancer's point of
     // view; the load index's per-node aggregates already exclude them, so
     // the monitor's fleet utilization matches what the balancer can level.
-    if (id < node_agg_.size()) {
-      sample.used_bytes = node_agg_[id].used_online;
-      sample.capacity_bytes = node_agg_[id].cap_online;
-    }
+    sample.used_bytes = node_agg_[id].used_online;
+    sample.capacity_bytes = node_agg_[id].cap_online;
     sample.requests = node.load.requests;
     sample.read_ios = node.load.read_ios;
     sample.write_ios = node.load.write_ios;
@@ -2736,7 +2341,6 @@ void DfsCluster::SampleLoadInto(std::vector<LoadSample>& out) const {
 }
 
 bool DfsCluster::SnapshotLoadStats(LoadStatsSnapshot& out) const {
-  EnsureLoadIndex();
   const FractionStats& frac = EnsureFractionStats();
   out = LoadStatsSnapshot{};
   out.taken_at = clock_.now();
@@ -3035,13 +2639,16 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
     brick.used_bytes = reader.U64();
     brick.online = reader.Bool();
     brick.linkfiles = reader.U32();
+    if (reader.ok() && FindStorageNode(brick.node) == nullptr) {
+      reader.Fail(Sprintf("brick %u on unknown storage node %u", brick.id, brick.node));
+      break;
+    }
     if (!brick.online) {
       ++offline_bricks_;
       offline_brick_list_.push_back(brick.id);
     }
     Brick& stored = bricks_[brick.id];
     stored = brick;
-    UpdateBrickFraction(stored);
     IndexBrickPtr(brick.id, &stored);
   }
   layouts_.clear();
@@ -3128,9 +2735,9 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
   if (!reader.ok()) return reader.status();
 
   // v3: streaming rate-window bases. Deltas are recomputed from the restored
-  // cumulative counters, and the group aggregates are rebuilt lazily with
-  // the rest of the load index — so the streaming state resumes bit-exactly
-  // (fixed-point sums are order-independent).
+  // cumulative counters, and the aggregates are rebuilt with the rest of the
+  // load index — so the streaming state resumes bit-exactly (fixed-point
+  // sums are order-independent).
   rate_windows_.clear();
   window_epoch_ = 1;
   uint64_t window_count = reader.Count(4 + 8 + 8);
@@ -3172,7 +2779,7 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
   // must carry exactly one assignment, and group indices are bounded (a
   // corrupt group id would silently mis-route nodes and skew the rollup).
   node_load_group_.clear();
-  load_group_count_ = 0;
+  load_groups_.clear();
   uint64_t group_entries = reader.Count(4 + 4);
   for (uint64_t i = 0; i < group_entries && reader.ok(); ++i) {
     NodeId id = reader.U32();
@@ -3194,7 +2801,9 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
       break;
     }
     node_load_group_[id] = group;
-    load_group_count_ = std::max(load_group_count_, group + 1);
+    if (group >= load_groups_.size()) {
+      load_groups_.resize(group + 1);
+    }
   }
   if (reader.ok()) {
     for (const auto& [id, node] : storage_nodes_) {
@@ -3218,7 +2827,7 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
 
   clock_.Reset();
   clock_.Advance(now);
-  InvalidateLoadIndex();
+  RebuildLoadIndex();
   // Recompute derived flavor structures against the restored topology, then
   // let the flavor restore its persistent extras. This is deliberately
   // OnTopologyChangedInternal() and not NotifyTopologyChanged(): the public

@@ -11,6 +11,7 @@
 #ifndef SRC_DFS_CLUSTER_H_
 #define SRC_DFS_CLUSTER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -260,15 +261,6 @@ struct ClusterConfig {
   int min_meta_nodes = 1;
   int max_meta_nodes = 5;
   uint64_t rng_seed = 1;
-  // ---- hierarchical load aggregates (DESIGN.md §15) ----
-  // Storage nodes are partitioned into load groups; the cluster maintains
-  // per-group sub-aggregates and rolls them up lazily, so per-op imbalance
-  // reads touch only the groups an op charged instead of the whole fleet.
-  // Flavors whose placement already has a grouping (GeoFS scheduling groups)
-  // align the partition with it via PickLoadGroup; everyone else gets
-  // contiguous id-range groups of this span. The partition never changes any
-  // reported value (integer sums are order-independent), only its cost.
-  int load_group_span = 64;
   // ---- GeoFS geotag topology (0 everywhere else) ----
   int geo_sites = 0;           // sites in the geotag tree
   int geo_racks_per_site = 0;  // racks under each site
@@ -350,8 +342,8 @@ class DfsCluster : public DfsInterface {
 
   // Serving (online, not crashed, not draining) bricks. The returned
   // reference points at the maintained load index and stays valid until the
-  // next topology mutation (brick/node add/remove/online/offline/capacity
-  // change); copy it before mutating topology mid-iteration.
+  // next membership mutation (brick/node add/remove/crash/restart); copy it
+  // before mutating topology mid-iteration.
   const std::vector<BrickId>& ServingBricks() const;
   const std::vector<NodeId>& ServingStorageNodeIds() const;
 
@@ -394,15 +386,17 @@ class DfsCluster : public DfsInterface {
   uint64_t total_ops_executed() const { return total_ops_executed_; }
   uint64_t lost_bytes() const { return lost_bytes_; }
 
-  // Replica index: chunks with a replica on `brick`.
-  std::vector<std::pair<FileId, uint32_t>> ChunksOnBrick(BrickId brick) const;
-  // Allocation-free view of the same index; the reference stays valid until
-  // a replica is added to or removed from `brick`.
+  // Replica index: chunks with a replica on `brick`. The reference stays
+  // valid until a replica is added to or removed from `brick`.
   const std::vector<std::pair<FileId, uint32_t>>& ChunksOnBrickRef(BrickId brick) const;
 
   // ---- fault-effect mutators (used only by src/faults) ----
-  void InjectCpuLoad(NodeId node, double cpu_seconds);
-  void InjectNetLoad(NodeId node, uint64_t reads, uint64_t writes, uint64_t requests);
+  void InjectCpuLoad(NodeId node, double cpu_seconds) {
+    ChargeNode(node, 0, 0, 0, cpu_seconds);
+  }
+  void InjectNetLoad(NodeId node, uint64_t reads, uint64_t writes, uint64_t requests) {
+    ChargeNode(node, requests, reads, writes, 0.0);
+  }
   void CrashNode(NodeId node);
   // Moves `bytes` of stored data from `from` to `to` without a migration
   // round — models mis-placed / mis-migrated data accumulating on a hotspot.
@@ -521,14 +515,16 @@ class DfsCluster : public DfsInterface {
   }
 
   // Load-group assignment for a storage node being added (DESIGN.md §15).
-  // The default packs monotonically assigned node ids into contiguous spans;
-  // GeoFS overrides it so the load groups coincide with its scheduling
-  // groups. Called exactly once per node, from AddStorageNodeInternal; the
-  // assignment is real state (persisted, snapshot v5), never recomputed.
-  virtual uint32_t PickLoadGroup(NodeId id) {
-    int span = config_.load_group_span > 0 ? config_.load_group_span : 64;
-    return id / static_cast<uint32_t>(span);
-  }
+  // The cluster keeps one sub-aggregate per group, so a per-op imbalance
+  // read touches only the groups an op charged instead of the whole fleet.
+  // The default packs monotonically assigned node ids into contiguous spans
+  // of kLoadGroupSpan; GeoFS overrides it so the load groups coincide with
+  // its scheduling groups. The partition never changes a reported value
+  // (integer sums are order-independent), only its cost. Called exactly once
+  // per node, from AddStorageNodeInternal; the assignment is real state
+  // (persisted, snapshot v5), never recomputed.
+  static constexpr uint32_t kLoadGroupSpan = 64;
+  virtual uint32_t PickLoadGroup(NodeId id) { return id / kLoadGroupSpan; }
 
   // Brick capacity for a storage node being added. The default is the
   // homogeneous configured capacity; GeoFS overrides it to model a
@@ -545,26 +541,19 @@ class DfsCluster : public DfsInterface {
   void BuildInitialTopology();
   BrickId NewBrickOnNode(NodeId node, uint64_t capacity);
   NodeId AddStorageNodeInternal(uint64_t brick_capacity);
-  void ChargeStorage(NodeId node, uint64_t reads, uint64_t writes, double cpu_seconds);
-  void ChargeMeta(NodeId node, uint64_t requests, double cpu_seconds);
   // Balance check driven after each operation (periodic or continuous).
   void MaybeTriggerBalancer();
   // Runs OnTopologyChangedInternal + coverage + fault hooks.
   void NotifyTopologyChanged();
 
   // ---- incremental load accounting (DESIGN.md §10) ----
-  // Every byte-level mutation of a brick goes through these two so the
-  // running aggregates (per-node used/capacity, fleet totals, imbalance)
-  // stay exact without per-op rescans. Release clamps at zero, matching the
-  // `used -= min(used, bytes)` idiom the scattered call sites used.
+  // Every byte-level mutation of a brick goes through these two (and from
+  // there through SetBrickBytes) so the running aggregates (per-node
+  // used/capacity, fleet totals, imbalance) stay exact without per-op
+  // rescans. Release clamps at zero, matching the `used -= min(used, bytes)`
+  // idiom the scattered call sites used.
   void AccreteBrickBytes(Brick* brick, uint64_t bytes);
   void ReleaseBrickBytes(Brick* brick, uint64_t bytes);
-  // Drops the whole index; the next read rebuilds it from the ground-truth
-  // maps. Only the topology reset uses this — steady-state structural
-  // mutations go through the targeted On*() updates below, which are O(1)
-  // (or O(bricks-of-one-node)), because dead node entries accumulate in the
-  // node maps and a full rebuild is O(all nodes ever created).
-  void InvalidateLoadIndex();
 
   // ---- per-group load views (DESIGN.md §15) ----
   // Load group of a storage node (kInvalidLoadGroup before assignment).
@@ -572,7 +561,6 @@ class DfsCluster : public DfsInterface {
   uint32_t LoadGroupOf(NodeId id) const {
     return id < node_load_group_.size() ? node_load_group_[id] : kInvalidLoadGroup;
   }
-  uint32_t load_group_count() const { return load_group_count_; }
   // Fresh (used, capacity) bytes over one load group's serving nodes.
   // Refreshes only that group's sub-aggregate if it is dirty — O(group
   // size), independent of the fleet size. This is the per-group index
@@ -637,7 +625,7 @@ class DfsCluster : public DfsInterface {
   struct RecoveryCandidate {
     double used_fraction;
     uint32_t order;  // index in ServingBricks() — the first-wins tie-break
-    BrickId id;      // brick resolved lazily, only for inspected candidates
+    const Brick* brick;  // map nodes stay put for the whole pass
   };
   // Heap comparator: true when `a` sorts after `b`. The (fraction, order)
   // key is a unique total order, so lazy heap pops replay exactly the fully
@@ -664,29 +652,35 @@ class DfsCluster : public DfsInterface {
   int ImbalanceMultiplicity() const;
 
   // ---- load-index internals ----
-  // Rebuilds every aggregate from the ground-truth brick/node maps. Called
-  // lazily (EnsureLoadIndex) after a topology reset; all steady-state
-  // mutations update the aggregates in place and never trigger a rebuild.
-  void RebuildLoadIndex() const;
-  void EnsureLoadIndex() const { if (load_index_dirty_) RebuildLoadIndex(); }
-  // Applies the used-bytes delta of one brick (old value -> current value)
-  // to the aggregates; no-op while the index is dirty (the rebuild wins).
-  void ApplyUsedBytesDelta(const Brick& brick, uint64_t old_used);
-  // Targeted structural updates. Each is a no-op (beyond the epoch bump)
-  // while the index is dirty; the eventual rebuild reads ground truth.
-  void OnStorageNodeAdded(NodeId id);
-  void OnBrickAdded(const Brick& brick);
-  // The node stopped serving (crashed or removed); its online bricks leave
-  // the fleet aggregates but stay in the per-node ones (SampleLoad reports
-  // crashed nodes' still-online bricks).
-  void OnStorageNodeUnserving(NodeId id);
-  // The metadata node stopped serving (crashed or removed); its current
-  // window deltas leave the meta-group rate aggregates.
-  void OnMetaNodeUnserving(NodeId id);
-  // Called after a brick's online flag flipped to false.
-  void OnBrickOffline(const Brick& brick);
-  // Called after a brick's capacity changed while online.
-  void OnBrickCapacityChanged(const Brick& brick, uint64_t old_capacity);
+  // The index is valid at every instant: each mutation below updates it in
+  // place, in O(1) or O(bricks of one node).
+  //
+  // Empties every derived aggregate (topology reset, and the head of
+  // RebuildLoadIndex).
+  void ResetLoadIndex();
+  // Rebuilds every aggregate from the ground-truth brick/node maps. Only
+  // RestoreState calls it: the maps hold every node ever created, so a
+  // rebuild is O(all nodes ever) and never runs in steady state.
+  void RebuildLoadIndex();
+  // The one funnel for brick byte and capacity changes: sets both and
+  // applies the deltas to the node, group and fleet sums.
+  void SetBrickBytes(Brick& brick, uint64_t used, uint64_t capacity);
+  // Flips a brick's online flag. Offline bricks leave the node's online sums
+  // and the fleet; they stay in the used-all sums until GC erases them.
+  void SetBrickOnline(Brick& brick, bool online);
+  // Moves one online brick of a serving node into or out of the fleet sums
+  // and ServingBricks().
+  void SetBrickInFleet(const Brick& brick, bool in);
+  // Moves a storage node into or out of the serving set (admission, crash,
+  // restart, decommission). Its online bricks join or leave the fleet but
+  // stay in its per-node sums (SampleLoad reports crashed nodes' bricks).
+  void SetStorageNodeServing(NodeId id, bool serving);
+  // Same for a metadata node: the serving list and the meta rate sums.
+  void SetMetaNodeServing(NodeId id, bool serving);
+  // Charges cumulative load counters to a storage or metadata node and
+  // pushes the new rate-window deltas into the streaming aggregates.
+  void ChargeNode(NodeId node, uint64_t requests, uint64_t reads, uint64_t writes,
+                  double cpu_seconds);
   // Anti-entropy: serving metadata replicas catch up to the namespace epoch
   // (unless a fault stalls them).
   void SyncMetadataReplicas();
@@ -763,24 +757,21 @@ class DfsCluster : public DfsInterface {
     uint64_t used_all = 0;     // bytes on all of this node's bricks
     bool serving = false;      // node online && !crashed
   };
-  mutable bool load_index_dirty_ = true;
-  // Bumped on every load-affecting mutation; memoized reads key off it.
-  mutable uint64_t load_epoch_ = 0;
-  mutable std::vector<BrickId> serving_bricks_;        // bricks_ map order
-  mutable std::vector<NodeId> serving_storage_nodes_;  // storage_nodes_ order
+  std::vector<BrickId> serving_bricks_;        // sorted by id
+  std::vector<NodeId> serving_storage_nodes_;  // sorted by id
   // Dense by NodeId (ids are monotonic and shared with meta nodes; slots
   // that never belonged to a storage node stay default and are never read —
   // every lookup comes from a brick's owner or a serving list).
-  mutable std::vector<NodeLoadAgg> node_agg_;
-  mutable uint64_t fleet_used_ = 0;      // over serving bricks
-  mutable uint64_t fleet_cap_ = 0;       // over serving bricks
-  mutable uint64_t fleet_overflow_ = 0;  // sum of max(0, used-cap), serving
-  mutable uint64_t total_used_all_ = 0;  // over every brick
-  // Storage-dimension statistics over serving nodes with online capacity,
-  // memoized per load_epoch_: the imbalance spread (the balancer threshold
-  // quantity) plus everything the streaming LoadStatsSnapshot reports for
-  // the storage dimension. One scan feeds both, so the per-op balancer
-  // check and the monitor read the same numbers for free.
+  std::vector<NodeLoadAgg> node_agg_;
+  uint64_t fleet_used_ = 0;      // over serving bricks
+  uint64_t fleet_cap_ = 0;       // over serving bricks
+  uint64_t fleet_overflow_ = 0;  // sum of max(0, used-cap), serving
+  uint64_t total_used_all_ = 0;  // over every brick
+  // Storage-dimension statistics over serving nodes with online capacity:
+  // the imbalance spread (the balancer threshold quantity) plus everything
+  // the streaming LoadStatsSnapshot reports for the storage dimension. One
+  // rollup feeds both, so the per-op balancer check and the monitor read the
+  // same numbers for free.
   struct FractionStats {
     uint32_t nodes = 0;
     double max_fraction = 0.0;
@@ -790,17 +781,18 @@ class DfsCluster : public DfsInterface {
     Uint128 frac_sum_sq = 0;   // Σ quantized fraction², ticks²
     double spread = 0.0;       // max(0, max_fraction - fleet utilization)
   };
+  // Valid exactly when dirty_groups_ is empty: every mutation that can move
+  // a fraction statistic marks its group dirty.
   const FractionStats& EnsureFractionStats() const;
-  mutable uint64_t imbalance_epoch_ = UINT64_MAX;  // load_epoch_ of the memo
   mutable FractionStats fraction_memo_;
 
   // ---- hierarchical (per-load-group) sub-aggregates (DESIGN.md §15) ----
-  // The storage-dimension statistics above are not rescanned fleet-wide any
-  // more: each load group keeps its own sub-aggregate, a mutation marks only
-  // the charged node's group dirty, and EnsureFractionStats re-scans the
-  // dirty groups (O(group size) each) before rolling the clean group sums
-  // into the cluster memo (O(group count)). Integer sums and a plain double
-  // max make the rollup bit-identical to the flat fleet scan it replaced.
+  // The storage-dimension statistics above are not rescanned fleet-wide:
+  // each load group keeps its own sub-aggregate, a mutation marks only the
+  // charged node's group dirty, and EnsureFractionStats re-scans the dirty
+  // groups (O(group size) each) before rolling the clean group sums into the
+  // cluster memo (O(group count)). Integer sums and a plain double max make
+  // the rollup bit-identical to the flat fleet scan it replaced.
   struct GroupFracAgg {
     uint32_t nodes = 0;        // serving nodes with online capacity
     uint64_t used = 0;         // Σ used_online
@@ -809,30 +801,31 @@ class DfsCluster : public DfsInterface {
     Uint128 frac_sum_sq = 0;   // Σ quantized fraction², ticks²
     double max_fraction = 0.0;
   };
-  // Group assignment: real state, written once per node by PickLoadGroup and
-  // persisted (snapshot v5) — GeoFS's assignment is history-dependent.
-  std::vector<uint32_t> node_load_group_;  // dense by NodeId
-  uint32_t load_group_count_ = 0;          // max assigned group + 1
-  void AssignLoadGroup(NodeId id);         // records PickLoadGroup(id)
-  // Derived per-group state (rebuilt by RebuildLoadIndex, never persisted).
-  mutable std::vector<std::vector<NodeId>> group_serving_;  // sorted by id
-  mutable std::vector<GroupFracAgg> group_frac_;
-  mutable std::vector<uint8_t> group_frac_dirty_;
-  mutable std::vector<uint32_t> dirty_groups_;  // queue of dirty group ids
-  void MarkGroupDirty(NodeId node) const;
-  void EnsureGroupSlots(uint32_t group) const;
-  // Rescans one group's serving members into its sub-aggregate.
-  void RefreshGroupFrac(uint32_t group) const;
-  // Per-group hottest serving brick, with its own dirty bits so refreshing
-  // it never taxes the placement-path group refreshes. Backs
-  // HottestServingBrick(); maintained by the same MarkGroupDirty funnel.
+  // Hottest online brick of the group's serving nodes (HottestServingBrick).
   struct GroupHotBrick {
     double fraction = -1.0;
     BrickId id = kInvalidBrick;
   };
-  mutable std::vector<GroupHotBrick> group_hot_;
-  mutable std::vector<uint8_t> group_hot_dirty_;
-  mutable std::vector<uint32_t> hot_dirty_groups_;  // queue of dirty ids
+  // Derived per-group state. The hot brick has its own dirty bit and queue
+  // so refreshing it never taxes the placement-path fraction refreshes.
+  struct LoadGroup {
+    std::vector<NodeId> serving;  // serving members, sorted by id
+    GroupFracAgg frac;
+    bool frac_dirty = false;
+    GroupHotBrick hot;
+    bool hot_dirty = false;
+  };
+  // Group assignment: real state, written once per node by PickLoadGroup and
+  // persisted (snapshot v5) — GeoFS's assignment is history-dependent. The
+  // group table is sized to the highest assigned group + 1.
+  std::vector<uint32_t> node_load_group_;  // dense by NodeId
+  void AssignLoadGroup(NodeId id);         // records PickLoadGroup(id)
+  mutable std::vector<LoadGroup> load_groups_;
+  mutable std::vector<uint32_t> dirty_groups_;      // queue of frac_dirty ids
+  mutable std::vector<uint32_t> hot_dirty_groups_;  // queue of hot_dirty ids
+  void MarkGroupDirty(uint32_t group);
+  // Rescans one group's serving members into its sub-aggregate.
+  void RefreshGroupFrac(uint32_t group) const;
   // Rescans one group's online bricks into its hot-brick slot.
   void RefreshGroupHotBrick(uint32_t group) const;
   // Serving metadata nodes, maintained at the (rare) membership changes so
@@ -860,12 +853,6 @@ class DfsCluster : public DfsInterface {
   mutable std::vector<RecoveryCandidate> recovery_heap_;
   mutable bool recovery_pass_built_ = true;
   void BuildRecoveryPassNow() const;
-  // UsedFraction() memo, dense by BrickId and written wherever a brick's
-  // bytes or capacity change (the same pure division, so bit-identical to
-  // recomputing). Lets the recovery snapshot and the per-group hot-brick
-  // refresh read a flat array instead of chasing map nodes and dividing.
-  std::vector<double> brick_fraction_;
-  void UpdateBrickFraction(const Brick& brick);
   // Scratch for PickRecoveryTarget's per-chunk replica-node set.
   mutable std::vector<NodeId> replica_nodes_scratch_;
   // Running view of the last-8-op class window (coverage feature); one slot
@@ -880,8 +867,8 @@ class DfsCluster : public DfsInterface {
   // window_epoch_ invalidates every base in O(1), and the first charge of a
   // node in the new window rebases it — so closing a window never scans the
   // fleet. Deltas are fixed-point integers (src/common/stats.h) so the
-  // incrementally maintained group sums below are bit-identical to the
-  // full-scan oracle's.
+  // incrementally maintained sums below are bit-identical to the full-scan
+  // oracle's.
   struct NodeRateWindow {
     uint64_t epoch = 0;      // window_epoch_ the base belongs to
     double base_cpu = 0.0;   // cumulative cpu_seconds at window start
@@ -890,58 +877,38 @@ class DfsCluster : public DfsInterface {
     uint64_t cpu_ticks = 0;  // current window delta, quantized
     uint64_t net_delta = 0;  // current window delta
   };
-  // Per (node group × dimension) window aggregate. Within a window a node's
-  // delta only grows (the counters are cumulative), so the instant max is a
-  // plain monotone high-water mark — no ordered index, no allocation; only
-  // the rare removal of a group member (crash / decommission) can lower it
-  // and triggers a rescan of the group's serving list.
+  // Per (node kind × dimension) window aggregate over the serving nodes.
+  // Within a window a node's delta only grows (the counters are cumulative),
+  // so the max is a plain monotone high-water mark — no ordered index, no
+  // allocation; only the rare departure of the maximum (crash /
+  // decommission) lowers it, and SetNodeInRateAggs rescans the serving list.
   struct RateDimAgg {
     uint64_t sum = 0;        // Σ delta, ticks
     Uint128 sum_sq = 0;      // Σ delta², ticks²
-    uint64_t max_delta = 0;  // max over current group members, ticks
-  };
-  // Captures the window base for `id` if this is its first charge in the
-  // current window; call before mutating the node's counters.
-  void BeginNodeChargeWindow(NodeId id, const NodeLoadCounters& load);
-  // Recomputes the node's window deltas from the (just mutated) counters and
-  // applies the change to its group aggregates. Base capture above is
-  // unconditional; the aggregate update is skipped for non-serving nodes and
-  // while the load index is dirty (the rebuild recomputes from the windows).
-  void CommitNodeCharge(NodeId id, const NodeLoadCounters& load, bool is_storage,
-                        bool serving);
-  // Removes an unserving node's current window deltas from its group.
-  void RemoveNodeFromRateAggs(NodeId id, bool is_storage);
-  uint64_t WindowDelta(NodeId id, bool cpu_dim) const;
-  void RecomputeRateMax(RateDimAgg& agg, bool is_storage, bool cpu_dim) const;
-  // From-scratch reconstruction out of the per-node windows + serving lists
-  // (tail of RebuildLoadIndex).
-  void RebuildRateAggs() const;
+    uint64_t max_delta = 0;  // max over current members, ticks
 
-  // Per-load-group high-water marks for the storage rate dimensions, stamped
-  // with the window epoch so AdvanceLoadWindow stays O(1) (a stale stamp
-  // reads as zero). They exist so the departure of the fleet maximum rescans
-  // one group and then maxes over the group marks — O(group size + group
-  // count) instead of a full fleet scan. Commits fold into them in O(1); the
-  // cluster-level aggregates stay the single source for SnapshotLoadStats.
-  struct GroupRateMax {
-    uint64_t epoch = 0;
-    uint64_t cpu = 0;
-    uint64_t net = 0;
+    // Replaces one member's delta `from` with `to` (0 = not a member).
+    void Update(uint64_t from, uint64_t to) {
+      sum += to - from;
+      sum_sq += static_cast<Uint128>(to) * to - static_cast<Uint128>(from) * from;
+      max_delta = std::max(max_delta, to);
+    }
   };
-  mutable std::vector<GroupRateMax> group_rate_max_;
-  // Current-window mark slot for a storage node's group (epoch-reset lazily).
-  GroupRateMax& GroupRateMaxSlot(NodeId id) const;
-  uint64_t GroupRateMaxValue(uint32_t group, bool cpu_dim) const;
-  // Rescans one group's serving members into its high-water mark.
-  void RecomputeGroupRateMax(uint32_t group) const;
-  uint64_t MaxOverGroupRateMax(bool cpu_dim) const;
+  RateDimAgg& RateAgg(bool is_storage, bool cpu_dim) {
+    return is_storage ? (cpu_dim ? cpu_storage_agg_ : net_storage_agg_)
+                      : (cpu_dim ? cpu_meta_agg_ : net_meta_agg_);
+  }
+  uint64_t WindowDelta(NodeId id, bool cpu_dim) const;
+  // Adds or removes a node's current window deltas; the caller has already
+  // updated the serving list a departing maximum is rescanned over.
+  void SetNodeInRateAggs(NodeId id, bool is_storage, bool in);
 
   std::vector<NodeRateWindow> rate_windows_;  // dense by NodeId
   uint64_t window_epoch_ = 1;
-  mutable RateDimAgg cpu_storage_agg_;
-  mutable RateDimAgg cpu_meta_agg_;
-  mutable RateDimAgg net_storage_agg_;
-  mutable RateDimAgg net_meta_agg_;
+  RateDimAgg cpu_storage_agg_;
+  RateDimAgg cpu_meta_agg_;
+  RateDimAgg net_storage_agg_;
+  RateDimAgg net_meta_agg_;
   // Count of nodes with crashed=true: the O(1) source of the snapshot's
   // any_crashed flag. Decremented only by RestartNode (env faults) and the
   // topology reset; fault-effect crashes (CrashNode) are permanent.

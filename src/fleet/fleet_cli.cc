@@ -228,13 +228,6 @@ int RunFleetStatus(int argc, char** argv) {
 }  // namespace
 
 int FleetMain(int argc, char** argv) {
-  // Workers are respawned as `<self_exe> fleet worker ...` no matter which
-  // front end the supervisor lives in; themis_fleet's main hands us argv
-  // starting at that `fleet` token, so tolerate (and skip) it.
-  if (argc >= 1 && std::strcmp(argv[0], "fleet") == 0) {
-    --argc;
-    ++argv;
-  }
   if (argc < 1) {
     return FleetUsage();
   }

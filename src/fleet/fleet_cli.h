@@ -1,5 +1,4 @@
-// The `fleet` subcommand family (DESIGN.md §17), shared by themis_cli and
-// the themis_fleet convenience binary:
+// The `fleet` subcommand family (DESIGN.md §17) of themis_cli:
 //
 //   fleet run <hdfs|ceph|gluster|leo|geo> --dir=DIR [options]
 //       stage the matrix into DIR and supervise N worker processes

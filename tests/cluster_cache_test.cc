@@ -13,9 +13,11 @@
 #include <map>
 #include <vector>
 
+#include "src/common/snapshot_io.h"
 #include "src/core/generator.h"
 #include "src/core/input_model.h"
 #include "src/dfs/flavors/factory.h"
+#include "src/faults/env_fault.h"
 #include "src/faults/fault_registry.h"
 #include "src/faults/historical_corpus.h"
 #include "src/faults/injector.h"
@@ -158,6 +160,20 @@ double BruteStorageImbalance(const DfsCluster& dfs) {
   return std::max(0.0, max_fraction - fleet);
 }
 
+// Strict max of UsedFraction in brick-id order: the smallest id wins ties.
+BrickId BruteHottestServingBrick(const DfsCluster& dfs) {
+  BrickId best = kInvalidBrick;
+  double best_fraction = -1.0;
+  for (BrickId id : BruteServingBricks(dfs)) {
+    double fraction = dfs.FindBrick(id)->UsedFraction();
+    if (fraction > best_fraction) {
+      best_fraction = fraction;
+      best = id;
+    }
+  }
+  return best;
+}
+
 void CheckAggregates(const DfsCluster& dfs, int step, const char* context) {
   // Exact equality throughout: every cached quantity is derived from integer
   // sums, so bit-identity with the brute-force recomputation is required.
@@ -180,6 +196,8 @@ void CheckAggregates(const DfsCluster& dfs, int step, const char* context) {
   EXPECT_EQ(dfs.PerNodeUsedFraction(), BrutePerNodeUsedFraction(dfs))
       << context << " step " << step;
   EXPECT_EQ(dfs.StorageImbalance(), BruteStorageImbalance(dfs))
+      << context << " step " << step;
+  EXPECT_EQ(dfs.HottestServingBrick(), BruteHottestServingBrick(dfs))
       << context << " step " << step;
   // The monitor's per-node samples ride on the same aggregates.
   for (const LoadSample& sample : dfs.SampleLoad()) {
@@ -209,7 +227,20 @@ struct CacheCase {
   bool with_faults;
   uint64_t seed;
   int steps;
+  // Environment faults (crash/restart, message faults, slow disks) drawn at
+  // the campaign's generator share.
+  bool with_env_faults = false;
 };
+
+std::vector<NodeId> CrashedStorageNodes(const DfsCluster& dfs) {
+  std::vector<NodeId> out;
+  for (const auto& [id, node] : dfs.storage_nodes()) {
+    if (node.crashed) {
+      out.push_back(id);
+    }
+  }
+  return out;
+}
 
 class ClusterCacheTest : public ::testing::TestWithParam<CacheCase> {};
 
@@ -224,13 +255,22 @@ TEST_P(ClusterCacheTest, CachedAggregatesMatchBruteForce) {
   }
   FaultInjector injector(faults, param.seed);
   dfs->set_fault_hooks(&injector);
+  EnvFaultInjector env_injector(param.seed);
+  if (param.with_env_faults) {
+    dfs->set_env_faults(&env_injector);
+  }
 
   Rng rng(param.seed);
   InputModel model;
   model.SyncFromDfs(*dfs);
   OpSeqGenerator generator(model);
+  if (param.with_env_faults) {
+    generator.set_env_fault_share(0.2);
+  }
+  int storage_restarts = 0;
   CheckAggregates(*dfs, -1, "initial");
   for (int step = 0; step < param.steps; ++step) {
+    std::vector<NodeId> crashed_before = CrashedStorageNodes(*dfs);
     Operation op = generator.GenerateOp(rng);
     OpResult result = dfs->Execute(op);
     model.Observe(op, result);
@@ -245,6 +285,11 @@ TEST_P(ClusterCacheTest, CachedAggregatesMatchBruteForce) {
     if (step % 13 == 12) {
       dfs->AdvanceTime(Seconds(30));
     }
+    for (NodeId id : crashed_before) {
+      if (!dfs->FindStorageNode(id)->crashed) {
+        ++storage_restarts;
+      }
+    }
     CheckAggregates(*dfs, step, "mid-stream");
     if (HasFailure()) {
       ADD_FAILURE() << "diverged at step " << step << " op " << op.ToString();
@@ -257,10 +302,23 @@ TEST_P(ClusterCacheTest, CachedAggregatesMatchBruteForce) {
     dfs->AdvanceTime(Seconds(10));
   }
   CheckAggregates(*dfs, param.steps, "drained");
+  if (param.with_env_faults) {
+    EXPECT_GT(storage_restarts, 0) << "no storage node restarted";
+  }
+
+  // The one full rebuild: a snapshot restored into a fresh cluster must
+  // yield the same aggregates.
+  SnapshotWriter writer;
+  dfs->SaveState(writer);
+  std::unique_ptr<DfsCluster> restored = MakeCluster(param.flavor, param.seed);
+  SnapshotReader reader(writer.buffer());
+  ASSERT_TRUE(restored->RestoreState(reader).ok());
+  CheckAggregates(*restored, param.steps, "restored");
 }
 
 // 4 flavors x {healthy, faulty} x 1500 steps = 12000 randomized mutation
-// steps, each followed by a full differential check.
+// steps, each followed by a full differential check, plus one env-fault case
+// per flavor (another 6000 steps through crash/restart churn).
 INSTANTIATE_TEST_SUITE_P(
     AllFlavors, ClusterCacheTest,
     ::testing::Values(CacheCase{Flavor::kGluster, false, 51, 1500},
@@ -270,10 +328,17 @@ INSTANTIATE_TEST_SUITE_P(
                       CacheCase{Flavor::kCeph, false, 71, 1500},
                       CacheCase{Flavor::kCeph, true, 72, 1500},
                       CacheCase{Flavor::kLeo, false, 81, 1500},
-                      CacheCase{Flavor::kLeo, true, 82, 1500}),
+                      CacheCase{Flavor::kLeo, true, 82, 1500},
+                      CacheCase{Flavor::kGluster, false, 53, 1500, true},
+                      CacheCase{Flavor::kHdfs, true, 63, 1500, true},
+                      CacheCase{Flavor::kCeph, false, 73, 1500, true},
+                      CacheCase{Flavor::kLeo, true, 83, 1500, true}),
     [](const ::testing::TestParamInfo<CacheCase>& info) {
       std::string name(FlavorName(info.param.flavor));
       name += info.param.with_faults ? "_faulty" : "_healthy";
+      if (info.param.with_env_faults) {
+        name += "_env";
+      }
       name += "_s" + std::to_string(info.param.seed);
       return name;
     });
