@@ -89,16 +89,18 @@ bool InputModel::HasDir(const std::string& path) const {
   return std::find(dirs_.begin(), dirs_.end(), path) != dirs_.end();
 }
 
+// The membership lists are copies of the DfsInterface admin views, which
+// are ascending by id (RestoreState rejects lists that are not).
 bool InputModel::HasMetaNode(NodeId node) const {
-  return std::find(list_mn_.begin(), list_mn_.end(), node) != list_mn_.end();
+  return std::binary_search(list_mn_.begin(), list_mn_.end(), node);
 }
 
 bool InputModel::HasStorageNode(NodeId node) const {
-  return std::find(list_s_.begin(), list_s_.end(), node) != list_s_.end();
+  return std::binary_search(list_s_.begin(), list_s_.end(), node);
 }
 
 bool InputModel::HasBrick(BrickId brick) const {
-  return std::find(bricks_.begin(), bricks_.end(), brick) != bricks_.end();
+  return std::binary_search(bricks_.begin(), bricks_.end(), brick);
 }
 
 std::string InputModel::ExistingFile(Rng& rng) const {
@@ -200,7 +202,12 @@ void RestoreIdVec(SnapshotReader& reader, std::vector<uint32_t>* v) {
   v->clear();
   v->reserve(static_cast<size_t>(count));
   for (uint64_t i = 0; i < count && reader.ok(); ++i) {
-    v->push_back(reader.U32());
+    uint32_t id = reader.U32();
+    if (reader.ok() && !v->empty() && id <= v->back()) {
+      reader.Fail(Sprintf("membership id %u out of ascending order", id));
+      break;
+    }
+    v->push_back(id);
   }
 }
 

@@ -148,7 +148,8 @@ void DfsCluster::ResetLoadIndex() {
   fleet_cap_ = 0;
   fleet_overflow_ = 0;
   total_used_all_ = 0;
-  fraction_memo_ = FractionStats{};
+  fraction_stats_ = FractionStats{};
+  frac_max_stale_ = false;
   for (LoadGroup& group : load_groups_) {
     group = LoadGroup{};
   }
@@ -175,6 +176,7 @@ void DfsCluster::RebuildLoadIndex() {
         continue;
       }
       agg.used_all += brick->used_bytes;
+      agg.cap_all += brick->capacity_bytes;
       if (brick->online) {
         agg.used_online += brick->used_bytes;
         agg.cap_online += brick->capacity_bytes;
@@ -276,7 +278,26 @@ void DfsCluster::RefreshGroupFrac(uint32_t group) const {
     agg.frac_sum += ticks;
     agg.frac_sum_sq += static_cast<Uint128>(ticks) * ticks;
   }
-  load_groups_[group].frac = agg;
+  // Apply the change to the running totals here, not in the rollup:
+  // LoadGroupUsedCap refreshes groups too, and a delta taken later against
+  // an already-refreshed group would be lost.
+  GroupFracAgg& old = load_groups_[group].frac;
+  FractionStats& stats = fraction_stats_;
+  stats.nodes += agg.nodes - old.nodes;
+  stats.used += agg.used - old.used;
+  stats.cap += agg.cap - old.cap;
+  stats.frac_sum += agg.frac_sum - old.frac_sum;
+  stats.frac_sum_sq += agg.frac_sum_sq - old.frac_sum_sq;
+  // Fractions are never negative, so a max seeded at 0.0 equals the
+  // first-wins max over the groups with members.
+  if (old.nodes > 0 && old.max_fraction == stats.max_fraction &&
+      (agg.nodes == 0 || agg.max_fraction < old.max_fraction)) {
+    frac_max_stale_ = true;  // the holder of the max fell or emptied
+  }
+  if (agg.nodes > 0 && agg.max_fraction > stats.max_fraction) {
+    stats.max_fraction = agg.max_fraction;
+  }
+  old = agg;
 }
 
 void DfsCluster::RefreshGroupHotBrick(uint32_t group) const {
@@ -358,6 +379,7 @@ void DfsCluster::SetBrickBytes(Brick& brick, uint64_t used, uint64_t capacity) {
   total_used_all_ += used_delta;
   NodeLoadAgg& agg = node_agg_[brick.node];
   agg.used_all += used_delta;
+  agg.cap_all += cap_delta;
   if (!brick.online) {
     return;
   }
@@ -453,6 +475,18 @@ const std::vector<NodeId>& DfsCluster::ServingStorageNodeIds() const {
   return serving_storage_nodes_;
 }
 
+NodeId DfsCluster::LeastCapacityServingNode() const {
+  uint64_t best_capacity = UINT64_MAX;
+  NodeId best = kInvalidNode;
+  for (NodeId id : serving_storage_nodes_) {
+    if (node_agg_[id].cap_all < best_capacity) {
+      best_capacity = node_agg_[id].cap_all;
+      best = id;
+    }
+  }
+  return best;
+}
+
 uint64_t DfsCluster::TotalCapacityBytes() const { return fleet_cap_; }
 
 uint64_t DfsCluster::TotalUsedBytes() const { return total_used_all_; }
@@ -488,45 +522,43 @@ std::vector<double> DfsCluster::PerNodeUsedFraction() const {
 }
 
 const DfsCluster::FractionStats& DfsCluster::EnsureFractionStats() const {
-  // One memoized rollup feeds both the balancer-threshold spread and the
-  // storage dimension of the streaming LoadStatsSnapshot: per-op balance
-  // checks keep the memo warm, so the monitor's storage numbers are O(1).
+  // One rollup feeds both the balancer-threshold spread and the storage
+  // dimension of the streaming LoadStatsSnapshot: per-op balance checks keep
+  // it current, so the monitor's storage numbers are O(1).
   if (dirty_groups_.empty()) {
-    return fraction_memo_;
+    return fraction_stats_;
   }
-  // Refresh only the groups ops have dirtied since the last read, then roll
-  // the per-group sub-aggregates up. Integer sums, the per-group first-wins
-  // max, and the left-to-right group order (groups are visited in index
-  // order, members in node-id order) make the rollup bit-identical to the
-  // flat fleet scan it replaced — the streaming-variance contract of
-  // DESIGN.md §13 holds unchanged at 10k nodes.
+  // Refresh only the groups ops have dirtied since the last read; each
+  // refresh moves the running totals by its delta (a group LoadGroupUsedCap
+  // already refreshed is clean and skipped). Integer sums and a max of
+  // non-negative doubles are independent of visiting order, so the totals
+  // are bit-identical to the flat fleet scan they replaced — the
+  // streaming-variance contract of DESIGN.md §13 holds unchanged at 10k
+  // nodes.
   for (uint32_t group : dirty_groups_) {
-    RefreshGroupFrac(group);
-    load_groups_[group].frac_dirty = false;
+    if (load_groups_[group].frac_dirty) {
+      RefreshGroupFrac(group);
+      load_groups_[group].frac_dirty = false;
+    }
   }
   dirty_groups_.clear();
-  FractionStats stats;
-  for (const LoadGroup& group : load_groups_) {
-    const GroupFracAgg& agg = group.frac;
-    if (agg.nodes == 0) {
-      continue;
+  FractionStats& stats = fraction_stats_;
+  if (frac_max_stale_) {
+    stats.max_fraction = 0.0;
+    for (const LoadGroup& group : load_groups_) {
+      if (group.frac.nodes > 0) {
+        stats.max_fraction = std::max(stats.max_fraction, group.frac.max_fraction);
+      }
     }
-    if (stats.nodes == 0 || agg.max_fraction > stats.max_fraction) {
-      stats.max_fraction = agg.max_fraction;
-    }
-    stats.nodes += agg.nodes;
-    stats.used += agg.used;
-    stats.cap += agg.cap;
-    stats.frac_sum += agg.frac_sum;
-    stats.frac_sum_sq += agg.frac_sum_sq;
+    frac_max_stale_ = false;
   }
+  stats.spread = 0.0;
   if (stats.nodes >= 2 && fleet_cap_ > 0) {
     double fleet =
         static_cast<double>(fleet_used_) / static_cast<double>(fleet_cap_);
     stats.spread = std::max(0.0, stats.max_fraction - fleet);
   }
-  fraction_memo_ = stats;
-  return fraction_memo_;
+  return stats;
 }
 
 double DfsCluster::StorageImbalance() const {
@@ -1002,6 +1034,7 @@ BrickId DfsCluster::NewBrickOnNode(NodeId node, uint64_t capacity) {
   brick = Brick{.id = id, .node = node, .capacity_bytes = capacity, .online = false};
   IndexBrickPtr(id, &brick);
   sn->bricks.push_back(id);
+  node_agg_[node].cap_all += capacity;
   SetBrickOnline(brick, true);
   return id;
 }
@@ -1666,26 +1699,7 @@ OpResult DfsCluster::DoAddVolume(const Operation& op) {
   COV_BRANCH(cov_, CovModule::kVolume, 15);
   NodeId target = op.node;
   if (FindStorageNode(target) == nullptr || !FindStorageNode(target)->Serving()) {
-    // Attach to the node with the least total capacity.
-    uint64_t best_capacity = UINT64_MAX;
-    target = kInvalidNode;
-    for (NodeId id : ServingStorageNodeIds()) {
-      const StorageNode* node = FindStorageNode(id);
-      if (node == nullptr) {
-        continue;
-      }
-      uint64_t cap = 0;
-      for (BrickId b : node->bricks) {
-        const Brick* brick = FindBrick(b);
-        if (brick != nullptr) {
-          cap += brick->capacity_bytes;
-        }
-      }
-      if (cap < best_capacity) {
-        best_capacity = cap;
-        target = id;
-      }
-    }
+    target = LeastCapacityServingNode();
   }
   if (target == kInvalidNode) {
     result.status = Status::Unavailable("no serving storage node for new volume");
@@ -2288,9 +2302,10 @@ void DfsCluster::FinishRebalanceIfDrained() {
             std::remove(node->bricks.begin(), node->bricks.end(), id),
             node->bricks.end());
       }
-      // No aggregate updates: a drained offline brick contributes zero to
-      // every maintained sum (offline => not in the online/fleet sums,
-      // used_bytes == 0 => nothing in the used-all sums).
+      // A drained offline brick contributes zero to every byte sum (offline
+      // => not in the online/fleet sums, used_bytes == 0 => nothing in the
+      // used-all sums); only its owner's all-brick capacity drops.
+      node_agg_[brick->node].cap_all -= brick->capacity_bytes;
       brick_index_[id] = nullptr;
       bricks_.erase(id);
       --offline_bricks_;

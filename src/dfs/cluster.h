@@ -206,7 +206,8 @@ class DfsInterface {
   virtual bool RebalanceDone() const = 0;
 
   // Admin views used to instantiate operands (gluster volume info, hdfs
-  // dfsadmin -report, ...).
+  // dfsadmin -report, ...). Each returns its ids in strictly ascending
+  // order; InputModel's membership checks binary-search these lists.
   virtual std::vector<NodeId> ListMetaNodes() const = 0;
   virtual std::vector<NodeId> ListStorageNodes() const = 0;
   virtual std::vector<BrickId> ListBricks() const = 0;
@@ -352,6 +353,13 @@ class DfsCluster : public DfsInterface {
   // (O(dirty groups + group count)), exact against the flat ServingBricks()
   // scan. kInvalidBrick when nothing serves.
   BrickId HottestServingBrick() const;
+
+  // The serving storage node whose bricks (offline and draining ones
+  // included) add up to the least capacity, smallest id on ties — where
+  // AddVolume attaches a volume whose requested node is not serving. A dense
+  // scan of the serving list over the maintained per-node sums.
+  // kInvalidNode when nothing serves.
+  NodeId LeastCapacityServingNode() const;
 
   uint64_t TotalCapacityBytes() const override;
   uint64_t TotalUsedBytes() const;
@@ -755,6 +763,7 @@ class DfsCluster : public DfsInterface {
     uint64_t used_online = 0;  // bytes on this node's online bricks
     uint64_t cap_online = 0;   // capacity of this node's online bricks
     uint64_t used_all = 0;     // bytes on all of this node's bricks
+    uint64_t cap_all = 0;      // capacity of all of this node's bricks
     bool serving = false;      // node online && !crashed
   };
   std::vector<BrickId> serving_bricks_;        // sorted by id
@@ -781,18 +790,24 @@ class DfsCluster : public DfsInterface {
     Uint128 frac_sum_sq = 0;   // Σ quantized fraction², ticks²
     double spread = 0.0;       // max(0, max_fraction - fleet utilization)
   };
-  // Valid exactly when dirty_groups_ is empty: every mutation that can move
-  // a fraction statistic marks its group dirty.
+  // Running totals of every load group's sub-aggregate. RefreshGroupFrac
+  // applies each group's delta (new - old; the integers wrap back exactly)
+  // as it rewrites the group, whichever path refreshed it, and keeps the max
+  // by value. Valid, spread included, exactly when dirty_groups_ is empty:
+  // every mutation that can move a fraction statistic marks its group dirty.
   const FractionStats& EnsureFractionStats() const;
-  mutable FractionStats fraction_memo_;
+  mutable FractionStats fraction_stats_;
+  // Set when the group holding max_fraction fell or emptied: the next read
+  // rescans the group maxima (max of doubles is order-independent).
+  mutable bool frac_max_stale_ = false;
 
   // ---- hierarchical (per-load-group) sub-aggregates (DESIGN.md §15) ----
   // The storage-dimension statistics above are not rescanned fleet-wide:
   // each load group keeps its own sub-aggregate, a mutation marks only the
   // charged node's group dirty, and EnsureFractionStats re-scans the dirty
-  // groups (O(group size) each) before rolling the clean group sums into the
-  // cluster memo (O(group count)). Integer sums and a plain double max make
-  // the rollup bit-identical to the flat fleet scan it replaced.
+  // groups (O(group size) each), each refresh moving the running totals by
+  // its delta. Integer sums and a plain double max make the totals
+  // bit-identical to the flat fleet scan they replaced.
   struct GroupFracAgg {
     uint32_t nodes = 0;        // serving nodes with online capacity
     uint64_t used = 0;         // Σ used_online
@@ -824,7 +839,8 @@ class DfsCluster : public DfsInterface {
   mutable std::vector<uint32_t> dirty_groups_;      // queue of frac_dirty ids
   mutable std::vector<uint32_t> hot_dirty_groups_;  // queue of hot_dirty ids
   void MarkGroupDirty(uint32_t group);
-  // Rescans one group's serving members into its sub-aggregate.
+  // Rescans one group's serving members into its sub-aggregate and applies
+  // the change to fraction_stats_.
   void RefreshGroupFrac(uint32_t group) const;
   // Rescans one group's online bricks into its hot-brick slot.
   void RefreshGroupHotBrick(uint32_t group) const;

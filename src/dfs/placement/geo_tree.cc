@@ -20,6 +20,17 @@ void GeoTreeEngine::EnsureNodeSlots(NodeId id) {
   }
 }
 
+void GeoTreeEngine::UpdateOpenGroup(uint32_t group) {
+  bool open = static_cast<int>(group_members_[group].size()) < group_size_;
+  auto pos = std::lower_bound(open_groups_.begin(), open_groups_.end(), group);
+  bool present = pos != open_groups_.end() && *pos == group;
+  if (open && !present) {
+    open_groups_.insert(pos, group);
+  } else if (!open && present) {
+    open_groups_.erase(pos);
+  }
+}
+
 uint32_t GeoTreeEngine::AssignNode(NodeId id) {
   EnsureNodeSlots(id);
   uint16_t site = 0;
@@ -35,10 +46,7 @@ uint32_t GeoTreeEngine::AssignNode(NodeId id) {
     }
   }
   uint32_t group = 0xffffffffu;
-  for (uint32_t g = 0; g < group_members_.size(); ++g) {
-    if (static_cast<int>(group_members_[g].size()) >= group_size_) {
-      continue;
-    }
+  for (uint32_t g : open_groups_) {
     if (group == 0xffffffffu ||
         group_members_[g].size() < group_members_[group].size()) {
       group = g;
@@ -54,6 +62,7 @@ uint32_t GeoTreeEngine::AssignNode(NodeId id) {
   ++site_counts_[site];
   ++rack_counts_[site][rack];
   group_members_[group].push_back(id);
+  UpdateOpenGroup(group);
   ++node_count_;
   return group;
 }
@@ -70,6 +79,7 @@ void GeoTreeEngine::RemoveNode(NodeId id) {
   --rack_counts_[tag.site][tag.rack];
   std::vector<NodeId>& members = group_members_[group];
   members.erase(std::remove(members.begin(), members.end(), id), members.end());
+  UpdateOpenGroup(group);
   --node_count_;
 }
 
@@ -78,8 +88,9 @@ void GeoTreeEngine::RestoreNode(NodeId id, GeoTag tag, uint32_t group) {
   if (assigned_[id]) {
     RemoveNode(id);
   }
-  if (group_members_.size() <= group) {
-    group_members_.resize(group + 1);
+  for (uint32_t g = static_cast<uint32_t>(group_members_.size()); g <= group; ++g) {
+    group_members_.emplace_back();
+    UpdateOpenGroup(g);
   }
   assigned_[id] = 1;
   node_tag_[id] = tag;
@@ -87,6 +98,7 @@ void GeoTreeEngine::RestoreNode(NodeId id, GeoTag tag, uint32_t group) {
   ++site_counts_[tag.site];
   ++rack_counts_[tag.site][tag.rack];
   group_members_[group].push_back(id);
+  UpdateOpenGroup(group);
   ++node_count_;
 }
 
@@ -100,6 +112,7 @@ void GeoTreeEngine::Clear() {
     std::fill(racks.begin(), racks.end(), 0);
   }
   group_members_.clear();
+  open_groups_.clear();
 }
 
 const std::vector<NodeId>& GeoTreeEngine::GroupMembers(uint32_t group) const {

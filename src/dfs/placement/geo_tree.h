@@ -67,6 +67,8 @@ class GeoTreeEngine {
 
  private:
   void EnsureNodeSlots(NodeId id);
+  // Files group `group` in or out of open_groups_ by its current size.
+  void UpdateOpenGroup(uint32_t group);
 
   int sites_;
   int racks_per_site_;
@@ -78,6 +80,9 @@ class GeoTreeEngine {
   std::vector<uint32_t> site_counts_;
   std::vector<std::vector<uint32_t>> rack_counts_;  // [site][rack]
   std::vector<std::vector<NodeId>> group_members_;
+  // Ids of the non-full groups, ascending: admission scans only these, so a
+  // fleet build does not rescan every full group per node.
+  std::vector<uint32_t> open_groups_;
 };
 
 }  // namespace themis

@@ -11,7 +11,6 @@ namespace themis {
 
 namespace {
 
-constexpr size_t kHistoryLimit = 16;
 constexpr size_t kSteadinessWindow = 8;
 // Per-operation CPU skew injected by an active kCpuSkew fault (virtual secs).
 constexpr double kCpuSkewPerOp = 0.45;
@@ -75,6 +74,7 @@ void FaultInjector::OnOperationExecuted(DfsCluster& dfs, const Operation& op,
     imbalance_at_op_.pop_front();
     hot_touch_at_op_.pop_front();
   }
+  SummarizeWindows();
   UpdateVarianceStreaks(dfs);
   EvaluateTriggers(dfs);
   ApplyContinuousEffects(dfs);
@@ -145,6 +145,23 @@ void FaultInjector::UpdateVarianceStreaks(const DfsCluster& dfs) {
   }
 }
 
+void FaultInjector::SummarizeWindows() {
+  // The four history deques are pushed and popped together (RestoreState
+  // rejects snapshots where they disagree), so the op kinds and the hot
+  // touches share one window length.
+  WindowSummary summary;
+  windows_[0] = summary;
+  for (size_t w = 1; w <= kHistoryLimit; ++w) {
+    if (w <= recent_ops_.size()) {
+      OpKind kind = recent_ops_[recent_ops_.size() - w];
+      summary.kind_mask |= 1u << static_cast<unsigned>(kind);
+      summary.class_mask |= 1u << static_cast<unsigned>(ClassOf(kind));
+      summary.hot_touches += hot_touch_at_op_[hot_touch_at_op_.size() - w] ? 1 : 0;
+    }
+    windows_[w] = summary;
+  }
+}
+
 bool FaultInjector::TriggerSatisfied(const FaultRuntime& fault,
                                      const DfsCluster& dfs) const {
   const TriggerRequirement& trigger = fault.spec.trigger;
@@ -153,51 +170,31 @@ bool FaultInjector::TriggerSatisfied(const FaultRuntime& fault,
     return false;
   }
   size_t start = recent_ops_.size() - window;
-  // One bit per OpKind (kTotalOpKindCount = 24 < 32) — the window scan runs
-  // for every inactive fault on every op, so it must not allocate.
-  bool has_request = false;
-  bool has_node = false;
-  bool has_volume = false;
-  bool has_env = false;
-  uint32_t seen_mask = 0;
-  for (size_t i = start; i < recent_ops_.size(); ++i) {
-    OpKind kind = recent_ops_[i];
-    switch (ClassOf(kind)) {
-      case OpClass::kFile:
-        has_request = true;
-        break;
-      case OpClass::kNode:
-        has_node = true;
-        break;
-      case OpClass::kVolume:
-        has_volume = true;
-        break;
-      case OpClass::kEnvFault:
-        has_env = true;
-        break;
-    }
-    seen_mask |= 1u << static_cast<unsigned>(kind);
-  }
-  if (trigger.needs_requests && !has_request) {
+  // One bit per OpKind (kTotalOpKindCount = 24 < 32) and per OpClass.
+  const WindowSummary& seen = windows_[window];
+  auto has_class = [&](OpClass op_class) {
+    return (seen.class_mask & (1u << static_cast<unsigned>(op_class))) != 0;
+  };
+  if (trigger.needs_requests && !has_class(OpClass::kFile)) {
     return false;
   }
-  if (trigger.needs_node_ops && !has_node) {
+  if (trigger.needs_node_ops && !has_class(OpClass::kNode)) {
     return false;
   }
-  if (trigger.needs_volume_ops && !has_volume) {
+  if (trigger.needs_volume_ops && !has_class(OpClass::kVolume)) {
     return false;
   }
   // Env-gated bugs (DESIGN.md §14): a fault-free campaign can never satisfy
   // this — kEnvFault ops are only ever generated when the campaign enables
   // environment faults — so these specs provably cannot trigger without them.
-  if (trigger.needs_env_faults && !has_env) {
+  if (trigger.needs_env_faults && !has_class(OpClass::kEnvFault)) {
     return false;
   }
-  if (std::popcount(seen_mask) < trigger.min_distinct_kinds) {
+  if (std::popcount(seen.kind_mask) < trigger.min_distinct_kinds) {
     return false;
   }
   for (OpKind required : trigger.required_kinds) {
-    if ((seen_mask & (1u << static_cast<unsigned>(required))) == 0) {
+    if ((seen.kind_mask & (1u << static_cast<unsigned>(required))) == 0) {
       return false;
     }
   }
@@ -225,19 +222,8 @@ bool FaultInjector::TriggerSatisfied(const FaultRuntime& fault,
       return false;
     }
   }
-  if (trigger.min_hotspot_touches > 0) {
-    int touches = 0;
-    size_t touch_window = std::min(static_cast<size_t>(trigger.window),
-                                   hot_touch_at_op_.size());
-    for (size_t i = hot_touch_at_op_.size() - touch_window; i < hot_touch_at_op_.size();
-         ++i) {
-      if (hot_touch_at_op_[i]) {
-        ++touches;
-      }
-    }
-    if (touches < trigger.min_hotspot_touches) {
-      return false;
-    }
+  if (trigger.min_hotspot_touches > 0 && seen.hot_touches < trigger.min_hotspot_touches) {
+    return false;
   }
   if (trigger.min_variance_streak > 0 &&
       fault.variance_streak < trigger.min_variance_streak) {
@@ -572,6 +558,15 @@ Status FaultInjector::RestoreState(SnapshotReader& reader) {
   hot_touch_at_op_.clear();
   for (uint64_t i = 0; i < hots && reader.ok(); ++i) {
     hot_touch_at_op_.push_back(reader.Bool());
+  }
+  if (reader.ok() && (recent_ops_.size() > kHistoryLimit ||
+                      rounds_at_op_.size() != recent_ops_.size() ||
+                      imbalance_at_op_.size() != recent_ops_.size() ||
+                      hot_touch_at_op_.size() != recent_ops_.size())) {
+    reader.Fail(Sprintf("fault history windows hold %zu/%zu/%zu/%zu entries "
+                        "(want equal, at most %zu)",
+                        recent_ops_.size(), rounds_at_op_.size(),
+                        imbalance_at_op_.size(), hot_touch_at_op_.size(), kHistoryLimit));
   }
   Status status = rng_.RestoreState(reader);
   if (!status.ok()) return status;

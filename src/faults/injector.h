@@ -16,6 +16,8 @@
 #ifndef SRC_FAULTS_INJECTOR_H_
 #define SRC_FAULTS_INJECTOR_H_
 
+#include <array>
+#include <cstdint>
 #include <deque>
 #include <string>
 #include <vector>
@@ -71,6 +73,9 @@ class FaultInjector : public FaultHooks {
   Status RestoreState(SnapshotReader& reader);
 
  private:
+  // Length of the rolling execution history, in ops.
+  static constexpr size_t kHistoryLimit = 16;
+
   void EvaluateTriggers(DfsCluster& dfs);
   void UpdateVarianceStreaks(const DfsCluster& dfs);
   // Operator-multiset overlap between the two most recent 8-op windows.
@@ -89,6 +94,17 @@ class FaultInjector : public FaultHooks {
   std::deque<int> rounds_at_op_;      // completed rounds when each op ran
   std::deque<double> imbalance_at_op_;  // storage imbalance after each op
   std::deque<bool> hot_touch_at_op_;  // op touched data on the hottest brick
+  // What the newest w history entries hold, for w = 0..kHistoryLimit (an
+  // entry past a deque's length repeats the whole deque). Rebuilt once per
+  // op after the history push, so every inactive fault's trigger reads its
+  // window in O(1) instead of rescanning it.
+  struct WindowSummary {
+    uint32_t kind_mask = 0;  // one bit per OpKind
+    uint8_t class_mask = 0;  // one bit per OpClass
+    int hot_touches = 0;     // true entries of hot_touch_at_op_
+  };
+  void SummarizeWindows();
+  std::array<WindowSummary, kHistoryLimit + 1> windows_{};
   Rng rng_;
 };
 

@@ -10,10 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <map>
 #include <vector>
 
 #include "src/common/snapshot_io.h"
+#include "src/common/stats.h"
 #include "src/core/generator.h"
 #include "src/core/input_model.h"
 #include "src/dfs/flavors/factory.h"
@@ -174,6 +177,69 @@ BrickId BruteHottestServingBrick(const DfsCluster& dfs) {
   return best;
 }
 
+// AddVolume's fallback target: the serving node whose listed bricks (offline
+// ones included) sum to the least capacity; the smallest id wins ties.
+NodeId BruteLeastCapacityServingNode(const DfsCluster& dfs) {
+  uint64_t best_capacity = UINT64_MAX;
+  NodeId best = kInvalidNode;
+  for (const auto& [id, node] : dfs.storage_nodes()) {
+    if (!node.Serving()) {
+      continue;
+    }
+    uint64_t capacity = 0;
+    for (BrickId b : node.bricks) {
+      const Brick* brick = dfs.FindBrick(b);
+      if (brick != nullptr) {
+        capacity += brick->capacity_bytes;
+      }
+    }
+    if (capacity < best_capacity) {
+      best_capacity = capacity;
+      best = id;
+    }
+  }
+  return best;
+}
+
+// The storage dimension of the streaming snapshot, summed over the serving
+// nodes with online capacity in one flat walk.
+LoadStatsSnapshot BruteStorageFractionStats(const DfsCluster& dfs) {
+  LoadStatsSnapshot out;
+  for (const auto& [id, node] : dfs.storage_nodes()) {
+    (void)id;
+    if (!node.Serving()) {
+      continue;
+    }
+    uint64_t used = 0;
+    uint64_t capacity = 0;
+    for (BrickId b : node.bricks) {
+      const Brick* brick = dfs.FindBrick(b);
+      if (brick != nullptr && brick->online) {
+        used += brick->used_bytes;
+        capacity += brick->capacity_bytes;
+      }
+    }
+    if (capacity == 0) {
+      continue;
+    }
+    double fraction = static_cast<double>(used) / static_cast<double>(capacity);
+    if (out.fraction_nodes == 0 || fraction > out.max_fraction) {
+      out.max_fraction = fraction;
+    }
+    ++out.fraction_nodes;
+    out.storage_used += used;
+    out.storage_cap += capacity;
+    uint64_t ticks = QuantizeLoadDelta(fraction, kUtilizationQuantum);
+    out.frac_sum += ticks;
+    out.frac_sum_sq += static_cast<Uint128>(ticks) * ticks;
+  }
+  return out;
+}
+
+bool StrictlyAscending(const std::vector<uint32_t>& ids) {
+  return std::adjacent_find(ids.begin(), ids.end(), std::greater_equal<>()) == ids.end();
+}
+
 void CheckAggregates(const DfsCluster& dfs, int step, const char* context) {
   // Exact equality throughout: every cached quantity is derived from integer
   // sums, so bit-identity with the brute-force recomputation is required.
@@ -199,6 +265,22 @@ void CheckAggregates(const DfsCluster& dfs, int step, const char* context) {
       << context << " step " << step;
   EXPECT_EQ(dfs.HottestServingBrick(), BruteHottestServingBrick(dfs))
       << context << " step " << step;
+  EXPECT_EQ(dfs.LeastCapacityServingNode(), BruteLeastCapacityServingNode(dfs))
+      << context << " step " << step;
+  // InputModel binary-searches copies of these lists.
+  EXPECT_TRUE(StrictlyAscending(dfs.ListMetaNodes())) << context << " step " << step;
+  EXPECT_TRUE(StrictlyAscending(dfs.ListStorageNodes())) << context << " step " << step;
+  EXPECT_TRUE(StrictlyAscending(dfs.ListBricks())) << context << " step " << step;
+  // The running fraction rollup, field by field.
+  LoadStatsSnapshot stats;
+  ASSERT_TRUE(dfs.SnapshotLoadStats(stats));
+  LoadStatsSnapshot brute = BruteStorageFractionStats(dfs);
+  EXPECT_EQ(stats.fraction_nodes, brute.fraction_nodes) << context << " step " << step;
+  EXPECT_EQ(stats.max_fraction, brute.max_fraction) << context << " step " << step;
+  EXPECT_EQ(stats.storage_used, brute.storage_used) << context << " step " << step;
+  EXPECT_EQ(stats.storage_cap, brute.storage_cap) << context << " step " << step;
+  EXPECT_EQ(stats.frac_sum, brute.frac_sum) << context << " step " << step;
+  EXPECT_TRUE(stats.frac_sum_sq == brute.frac_sum_sq) << context << " step " << step;
   // The monitor's per-node samples ride on the same aggregates.
   for (const LoadSample& sample : dfs.SampleLoad()) {
     if (!sample.is_storage) {
@@ -318,7 +400,10 @@ TEST_P(ClusterCacheTest, CachedAggregatesMatchBruteForce) {
 
 // 4 flavors x {healthy, faulty} x 1500 steps = 12000 randomized mutation
 // steps, each followed by a full differential check, plus one env-fault case
-// per flavor (another 6000 steps through crash/restart churn).
+// per flavor (another 6000 steps through crash/restart churn). The GeoFS
+// cases run its default 48 nodes in three load groups, the only topology
+// here where the fraction rollup spans several groups and GeoFS placement
+// refreshes groups through LoadGroupUsedCap.
 INSTANTIATE_TEST_SUITE_P(
     AllFlavors, ClusterCacheTest,
     ::testing::Values(CacheCase{Flavor::kGluster, false, 51, 1500},
@@ -332,7 +417,10 @@ INSTANTIATE_TEST_SUITE_P(
                       CacheCase{Flavor::kGluster, false, 53, 1500, true},
                       CacheCase{Flavor::kHdfs, true, 63, 1500, true},
                       CacheCase{Flavor::kCeph, false, 73, 1500, true},
-                      CacheCase{Flavor::kLeo, true, 83, 1500, true}),
+                      CacheCase{Flavor::kLeo, true, 83, 1500, true},
+                      CacheCase{Flavor::kGeo, false, 91, 1500},
+                      CacheCase{Flavor::kGeo, true, 92, 1500},
+                      CacheCase{Flavor::kGeo, true, 93, 1500, true}),
     [](const ::testing::TestParamInfo<CacheCase>& info) {
       std::string name(FlavorName(info.param.flavor));
       name += info.param.with_faults ? "_faulty" : "_healthy";

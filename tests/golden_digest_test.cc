@@ -29,6 +29,9 @@ constexpr GoldenEntry kGolden[] = {
     {Flavor::kHdfs, 0x6f0dca68c74aa2f0ULL, 150, 5886},
     {Flavor::kCeph, 0x197d2b721543e2c5ULL, 133, 6081},
     {Flavor::kLeo, 0xb073289e30566ec7ULL, 130, 5754},
+    // GeoFS at its default 48 nodes: three load groups, so the multi-group
+    // fraction rollup and the scheduling-group placement are both pinned.
+    {Flavor::kGeo, 0xa3b034b061cf81a8ULL, 192, 5151},
 };
 
 TEST(GoldenDigestTest, PerFlavorDigestsArePinned) {

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/dfs/placement/crush_map.h"
@@ -416,6 +417,54 @@ TEST(GeoTree, ClearEmptiesEverything) {
   engine.AssignNode(3);
   EXPECT_EQ(engine.TagOf(3).site, 0);
   EXPECT_EQ(engine.GroupOf(3), 0u);
+}
+
+// The group admission picks by scanning every group: fewest members among
+// the non-full ones, lowest index on ties, a fresh group when all are full.
+uint32_t BruteAdmissionGroup(const GeoTreeEngine& engine) {
+  uint32_t group = engine.group_count();
+  for (uint32_t g = 0; g < engine.group_count(); ++g) {
+    size_t size = engine.GroupMembers(g).size();
+    if (static_cast<int>(size) >= engine.group_size()) {
+      continue;
+    }
+    if (group == engine.group_count() || size < engine.GroupMembers(group).size()) {
+      group = g;
+    }
+  }
+  return group;
+}
+
+TEST(GeoTree, AdmissionMatchesFullGroupScanUnderChurn) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Rng rng(seed);
+    GeoTreeEngine engine(3, 4, 4);
+    NodeId next_id = 0;
+    std::vector<NodeId> members;
+    for (int step = 0; step < 3000; ++step) {
+      uint64_t action = rng.NextBelow(10);
+      if (action < 6 || members.empty()) {
+        uint32_t expected = BruteAdmissionGroup(engine);
+        ASSERT_EQ(engine.AssignNode(next_id), expected) << "seed " << seed << " step " << step;
+        members.push_back(next_id++);
+      } else if (action < 9) {
+        size_t index = rng.PickIndex(members.size());
+        engine.RemoveNode(members[index]);
+        members.erase(members.begin() + static_cast<std::ptrdiff_t>(index));
+      } else {
+        // Restore moves a member into any group, possibly past the end (the
+        // skipped groups appear empty) or over capacity.
+        NodeId id = members[rng.PickIndex(members.size())];
+        uint32_t group = static_cast<uint32_t>(rng.NextBelow(engine.group_count() + 2));
+        engine.RestoreNode(id, engine.TagOf(id), group);
+        ASSERT_EQ(engine.GroupOf(id), group);
+      }
+      if (step % 1000 == 999) {
+        engine.Clear();
+        members.clear();
+      }
+    }
+  }
 }
 
 }  // namespace

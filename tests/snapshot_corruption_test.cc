@@ -23,6 +23,7 @@
 #include "src/dfs/flavors/factory.h"
 #include "src/dfs/flavors/geo_like.h"
 #include "src/faults/env_fault.h"
+#include "src/faults/injector.h"
 #include "src/harness/campaign.h"
 #include "src/harness/snapshot.h"
 #include "src/monitor/load_model.h"
@@ -739,6 +740,52 @@ TEST(SnapshotCorruptionTest, ModelRejectsOutOfRangePreviousWindowNode) {
   Status status = model.RestoreState(reader);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("out of range"), std::string::npos)
+      << status.ToString();
+}
+
+// InputModel answers membership checks by binary search, so a restored
+// membership list must be strictly ascending.
+TEST(SnapshotCorruptionTest, InputModelRejectsUnsortedMembershipList) {
+  SnapshotWriter writer;
+  writer.U64(0);  // files
+  writer.U64(0);  // dirs
+  writer.U64(2);  // meta nodes, out of order
+  writer.U32(5);
+  writer.U32(3);
+  writer.U64(0);  // storage nodes
+  writer.U64(0);  // bricks
+  writer.U64(0);  // free space
+  writer.U64(0);  // name counter
+  InputModel model;
+  SnapshotReader reader(writer.buffer());
+  Status status = model.RestoreState(reader);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("out of ascending order"), std::string::npos)
+      << status.ToString();
+}
+
+// The injector's per-op window summaries index all four history windows by
+// one length, so a record whose windows disagree must fail the snapshot.
+TEST(SnapshotCorruptionTest, FaultInjectorRejectsMismatchedHistoryWindows) {
+  SnapshotWriter writer;
+  writer.U64(0);  // no faults
+  writer.U64(2);  // op kinds
+  writer.U8(0);
+  writer.U8(0);
+  writer.U64(1);  // rounds: one entry short
+  writer.I64(0);
+  writer.U64(2);  // imbalances
+  writer.F64(0.0);
+  writer.F64(0.0);
+  writer.U64(2);  // hot touches
+  writer.Bool(false);
+  writer.Bool(false);
+  Rng(1).SaveState(writer);
+  FaultInjector injector({}, /*seed=*/1);
+  SnapshotReader reader(writer.buffer());
+  Status status = injector.RestoreState(reader);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("fault history windows"), std::string::npos)
       << status.ToString();
 }
 

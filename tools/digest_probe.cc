@@ -7,7 +7,8 @@
 
 int main() {
   using namespace themis;
-  for (Flavor flavor : {Flavor::kGluster, Flavor::kHdfs, Flavor::kCeph, Flavor::kLeo}) {
+  for (Flavor flavor :
+       {Flavor::kGluster, Flavor::kHdfs, Flavor::kCeph, Flavor::kLeo, Flavor::kGeo}) {
     CampaignConfig config;
     config.flavor = flavor;
     config.seed = 1234;
