@@ -10,7 +10,7 @@ namespace {
 void BM_TimelineSampling(benchmark::State& state) {
   uint64_t seed = 1;
   for (auto _ : state) {
-    CampaignResult result = RunCampaign(StrategyKind::kConcurrent, Flavor::kLeo, seed++,
+    CampaignResult result = RunCampaign("Concurrent", Flavor::kLeo, seed++,
                                         Hours(1), FaultSet::kNewBugs).take();
     state.counters["samples"] = static_cast<double>(result.coverage_timeline.size());
   }
@@ -20,10 +20,8 @@ BENCHMARK(BM_TimelineSampling)->Unit(benchmark::kMillisecond);
 void RunExperiment() {
   ExperimentBudget budget = BenchBudget();
   budget.seeds = 1;  // the figure shows one representative campaign per tool
-  std::vector<StrategyKind> strategies = {StrategyKind::kFixReq, StrategyKind::kFixConf,
-                                          StrategyKind::kAlternate,
-                                          StrategyKind::kConcurrent,
-                                          StrategyKind::kThemis};
+  std::vector<std::string> strategies = {"Fix_req", "Fix_conf", "Alternate",
+                                         "Concurrent", "Themis"};
   CoverageResults results = RunCoverageExperiment(strategies, budget);
 
   PrintHeader("Figure 12: coverage trends (branches vs virtual hours)");
@@ -35,9 +33,9 @@ void RunExperiment() {
       std::printf("%8d", h);
     }
     std::printf("\n");
-    for (StrategyKind kind : strategies) {
-      const auto& timeline = results.timelines[kind][flavor];
-      std::printf("%-12s", StrategyKindName(kind));
+    for (const std::string& name : strategies) {
+      const auto& timeline = results.timelines[name][flavor];
+      std::printf("%-12s", name.c_str());
       for (int h : hours) {
         SimTime at = Hours(h);
         size_t value = 0;

@@ -10,7 +10,7 @@ namespace {
 void BM_ThemisCampaignShort(benchmark::State& state) {
   uint64_t seed = 1;
   for (auto _ : state) {
-    CampaignResult result = RunCampaign(StrategyKind::kThemis, Flavor::kGluster, seed++,
+    CampaignResult result = RunCampaign("Themis", Flavor::kGluster, seed++,
                                         Hours(state.range(0)), FaultSet::kNewBugs).take();
     benchmark::DoNotOptimize(result.testcases);
     state.counters["failures"] = result.DistinctTruePositives();
@@ -21,8 +21,8 @@ BENCHMARK(BM_ThemisCampaignShort)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
 
 void RunExperiment() {
   ExperimentBudget budget = BenchBudget();
-  NewBugFindings findings = RunNewBugExperiment({StrategyKind::kThemis}, budget);
-  const auto& found = findings.found[StrategyKind::kThemis];
+  NewBugFindings findings = RunNewBugExperiment({"Themis"}, budget);
+  const auto& found = findings.found["Themis"];
 
   PrintHeader("Table 2: new imbalance failures detected by Themis (24h campaigns)");
   TextTable table({"#", "Platform", "Failure Type", "Identifier", "Found",
@@ -43,7 +43,7 @@ void RunExperiment() {
               "false positives across all campaigns: %d\n",
               total_found, budget.seeds,
               static_cast<long long>(budget.campaign / Hours(1)),
-              findings.false_positives[StrategyKind::kThemis]);
+              findings.false_positives["Themis"]);
 
   PrintHeader("Root cause notes (from the registry)");
   for (const FaultSpec& spec : NewBugRegistry()) {

@@ -11,7 +11,7 @@ namespace {
 void BM_HistoricalCampaignShort(benchmark::State& state) {
   uint64_t seed = 1;
   for (auto _ : state) {
-    CampaignResult result = RunCampaign(StrategyKind::kThemis, Flavor::kHdfs, seed++,
+    CampaignResult result = RunCampaign("Themis", Flavor::kHdfs, seed++,
                                         Hours(1), FaultSet::kHistorical).take();
     benchmark::DoNotOptimize(result.testcases);
   }
@@ -20,8 +20,8 @@ BENCHMARK(BM_HistoricalCampaignShort)->Unit(benchmark::kMillisecond);
 
 void RunExperiment() {
   ExperimentBudget budget = BenchBudget();
-  std::vector<StrategyKind> strategies(kComparedStrategies.begin(),
-                                       kComparedStrategies.end());
+  std::vector<std::string> strategies(kComparedStrategies.begin(),
+                                      kComparedStrategies.end());
   HistoricalFindings findings = RunHistoricalExperiment(strategies, budget);
 
   std::map<Flavor, int> corpus_sizes;
@@ -31,11 +31,11 @@ void RunExperiment() {
 
   PrintHeader("Table 4: historical imbalance failures reproduced");
   TextTable table({"Tools", "HDFS", "CephFS", "GlusterFS", "LeoFS", "Total"});
-  for (StrategyKind kind : strategies) {
+  for (const std::string& name : strategies) {
     int total = 0;
-    std::vector<std::string> row{StrategyKindName(kind)};
+    std::vector<std::string> row{name};
     for (Flavor flavor : kAllFlavors) {
-      int found = static_cast<int>(findings.found[kind][flavor].size());
+      int found = static_cast<int>(findings.found[name][flavor].size());
       total += found;
       row.push_back(Sprintf("%d/%d", found, corpus_sizes[flavor]));
     }

@@ -9,7 +9,7 @@ namespace {
 void BM_ThemisMinusCampaignShort(benchmark::State& state) {
   uint64_t seed = 1;
   for (auto _ : state) {
-    CampaignResult result = RunCampaign(StrategyKind::kThemisMinus, Flavor::kGluster,
+    CampaignResult result = RunCampaign("Themis-", Flavor::kGluster,
                                         seed++, Hours(1), FaultSet::kNewBugs).take();
     benchmark::DoNotOptimize(result.testcases);
   }

@@ -14,7 +14,7 @@ void BM_ThresholdCampaignShort(benchmark::State& state) {
     config.seed = seed++;
     config.budget = Hours(1);
     config.threshold_t = static_cast<double>(state.range(0)) / 100.0;
-    CampaignResult result = Campaign(config).Run(StrategyKind::kThemis).take();
+    CampaignResult result = Campaign(config).Run("Themis").take();
     state.counters["fp"] = result.false_positives;
   }
 }

@@ -16,7 +16,7 @@ void BM_WeightedCampaignShort(benchmark::State& state) {
     config.weights.storage = static_cast<double>(state.range(0)) / 6.0;
     config.weights.computation = (1.0 - config.weights.storage) / 2.0;
     config.weights.network = (1.0 - config.weights.storage) / 2.0;
-    CampaignResult result = Campaign(config).Run(StrategyKind::kThemis).take();
+    CampaignResult result = Campaign(config).Run("Themis").take();
     benchmark::DoNotOptimize(result.testcases);
   }
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 
 #include "src/common/log.h"
 #include "src/common/stats.h"
@@ -37,17 +36,12 @@ DfsCluster::DfsCluster(ClusterConfig config, Flavor flavor, std::string cluster_
     : config_(config), flavor_(flavor), name_(std::move(cluster_name)),
       rng_(config.rng_seed) {}
 
-DfsCluster::~DfsCluster() = default;
-
 void DfsCluster::BuildInitialTopology() {
   tree_.Clear();
-  storage_nodes_.clear();
-  storage_node_index_.clear();
-  meta_nodes_.clear();
-  bricks_.clear();
-  brick_index_.clear();
-  layouts_.clear();
-  brick_chunks_.clear();
+  nodes_ = {};
+  meta_node_count_ = 0;
+  bricks_ = {};
+  layouts_ = {};
   move_queue_.clear();
   current_move_done_bytes_ = 0;
   rebalance_active_ = false;
@@ -58,24 +52,17 @@ void DfsCluster::BuildInitialTopology() {
   balancer_crashed_ = false;
   balancer_resume_pending_ = false;
   recent_class_mask_ = 0;
-  offline_bricks_ = 0;
   offline_brick_list_.clear();
   serving_meta_nodes_.clear();
-  rate_windows_.clear();
   window_epoch_ = 1;
   crashed_nodes_ = 0;
-  node_load_group_.clear();
   load_groups_.clear();
   ResetLoadIndex();
   OnTopologyCleared();
 
   // The index starts empty; the admission paths below fill it.
   for (int i = 0; i < config_.initial_meta_nodes; ++i) {
-    NodeId id = next_node_id_++;
-    MetaNode node;
-    node.id = id;
-    meta_nodes_[id] = node;
-    SetMetaNodeServing(id, true);
+    AddMetaNodeInternal();
   }
   for (int i = 0; i < config_.initial_storage_nodes; ++i) {
     AddStorageNodeInternal(BrickCapacityFor(next_node_id_));
@@ -101,12 +88,6 @@ void DfsCluster::ResetToInitial() {
 }
 
 // ---------------------------------------------------------------------------
-// Lookup helpers
-
-// FindBrick / FindStorageNode are inline in cluster.h, backed by the flat
-// brick_index_ / storage_node_index_ pointer vectors maintained below.
-
-// ---------------------------------------------------------------------------
 // Incremental load index
 //
 // Aggregates over bricks/nodes are maintained, not recomputed: the per-op
@@ -114,8 +95,8 @@ void DfsCluster::ResetToInitial() {
 // SampleLoad in the monitor) run off integer running sums, while mutation
 // points pay an O(1) delta (byte writes, charges) or an O(bricks-of-one-node)
 // update (membership changes). The index is valid at every instant: removed
-// nodes stay in the node maps as tombstones, so anything that walks a whole
-// node map is O(all nodes ever created), and the one full rebuild runs only
+// nodes stay in the node table as tombstones, so anything that walks the
+// whole table is O(all nodes ever created), and the one full rebuild runs only
 // when a snapshot is restored. All sums are integers, so every cached double
 // is bit-identical to a from-scratch walk (tests/cluster_cache_test.cc).
 
@@ -143,7 +124,6 @@ void SetSortedMember(std::vector<Id>& ids, Id id, bool member) {
 void DfsCluster::ResetLoadIndex() {
   serving_bricks_.clear();
   serving_storage_nodes_.clear();
-  node_agg_.clear();
   fleet_used_ = 0;
   fleet_cap_ = 0;
   fleet_overflow_ = 0;
@@ -155,10 +135,7 @@ void DfsCluster::ResetLoadIndex() {
   }
   dirty_groups_.clear();
   hot_dirty_groups_.clear();
-  cpu_storage_agg_ = RateDimAgg{};
-  cpu_meta_agg_ = RateDimAgg{};
-  net_storage_agg_ = RateDimAgg{};
-  net_meta_agg_ = RateDimAgg{};
+  rate_aggs_ = RateAggs{};
 }
 
 void DfsCluster::RebuildLoadIndex() {
@@ -167,9 +144,10 @@ void DfsCluster::RebuildLoadIndex() {
   for (uint32_t g = 0; g < load_groups_.size(); ++g) {
     MarkGroupDirty(g);
   }
-  node_agg_.resize(storage_node_index_.size());
-  for (const auto& [id, node] : storage_nodes_) {
-    NodeLoadAgg& agg = node_agg_[id];
+  // The restored records start with empty sums; every brick is listed by
+  // exactly one storage node.
+  for (const auto& [id, node] : storage_nodes()) {
+    NodeLoadAgg& agg = nodes_[id].agg;
     for (BrickId b : node.bricks) {
       const Brick* brick = FindBrick(b);
       if (brick == nullptr) {
@@ -182,25 +160,26 @@ void DfsCluster::RebuildLoadIndex() {
         agg.cap_online += brick->capacity_bytes;
       }
     }
+    total_used_all_ += agg.used_all;
     if (node.Serving()) {
-      SetStorageNodeServing(id, true);
+      SetNodeServing(id, true);
     }
   }
-  for (const auto& [id, brick] : bricks_) {
-    (void)id;
-    total_used_all_ += brick.used_bytes;
-  }
-  for (NodeId id : serving_meta_nodes_) {
-    SetNodeInRateAggs(id, /*is_storage=*/false, /*in=*/true);
+  // The serving metadata list is restored as saved; re-admit its members.
+  std::vector<NodeId> serving_meta = std::move(serving_meta_nodes_);
+  serving_meta_nodes_.clear();
+  for (NodeId id : serving_meta) {
+    SetNodeServing(id, true);
   }
   ++membership_epoch_;
 }
 
 uint64_t DfsCluster::WindowDelta(NodeId id, bool cpu_dim) const {
-  if (id >= rate_windows_.size() || rate_windows_[id].epoch != window_epoch_) {
+  const NodeRateWindow& window = nodes_[id].window;
+  if (window.epoch != window_epoch_) {
     return 0;  // not charged this window: the base is the current counters
   }
-  return cpu_dim ? rate_windows_[id].cpu_ticks : rate_windows_[id].net_delta;
+  return cpu_dim ? window.cpu_ticks : window.net_delta;
 }
 
 void DfsCluster::SetNodeInRateAggs(NodeId id, bool is_storage, bool in) {
@@ -238,10 +217,7 @@ void DfsCluster::AssignLoadGroup(NodeId id) {
   if (group == kInvalidLoadGroup) {
     group = 0;
   }
-  if (node_load_group_.size() <= id) {
-    node_load_group_.resize(id + 1, kInvalidLoadGroup);
-  }
-  node_load_group_[id] = group;
+  nodes_[id].load_group = group;
   if (group >= load_groups_.size()) {
     load_groups_.resize(group + 1);
   }
@@ -262,7 +238,7 @@ void DfsCluster::MarkGroupDirty(uint32_t group) {
 void DfsCluster::RefreshGroupFrac(uint32_t group) const {
   GroupFracAgg agg;
   for (NodeId id : load_groups_[group].serving) {
-    const NodeLoadAgg& node = node_agg_[id];
+    const NodeLoadAgg& node = nodes_[id].agg;
     if (node.cap_online == 0) {
       continue;
     }
@@ -377,7 +353,7 @@ void DfsCluster::SetBrickBytes(Brick& brick, uint64_t used, uint64_t capacity) {
   brick.used_bytes = used;
   brick.capacity_bytes = capacity;
   total_used_all_ += used_delta;
-  NodeLoadAgg& agg = node_agg_[brick.node];
+  NodeLoadAgg& agg = nodes_[brick.node].agg;
   agg.used_all += used_delta;
   agg.cap_all += cap_delta;
   if (!brick.online) {
@@ -423,12 +399,11 @@ void DfsCluster::SetBrickInFleet(const Brick& brick, bool in) {
 void DfsCluster::SetBrickOnline(Brick& brick, bool online) {
   brick.online = online;
   ++membership_epoch_;
-  NodeLoadAgg& agg = node_agg_[brick.node];
+  NodeLoadAgg& agg = nodes_[brick.node].agg;
   if (online) {
     agg.used_online += brick.used_bytes;
     agg.cap_online += brick.capacity_bytes;
   } else {
-    ++offline_bricks_;
     offline_brick_list_.push_back(brick.id);
     agg.used_online -= brick.used_bytes;
     agg.cap_online -= brick.capacity_bytes;
@@ -439,21 +414,25 @@ void DfsCluster::SetBrickOnline(Brick& brick, bool online) {
   }
 }
 
-void DfsCluster::SetStorageNodeServing(NodeId id, bool serving) {
+void DfsCluster::SetNodeServing(NodeId id, bool serving) {
   ++membership_epoch_;
-  NodeLoadAgg& agg = node_agg_[id];
-  if (agg.serving == serving) {
+  NodeRecord& record = nodes_[id];
+  if (record.agg.serving == serving) {
     return;
   }
-  agg.serving = serving;
-  uint32_t group = LoadGroupOf(id);
-  SetSortedMember(serving_storage_nodes_, id, serving);
-  SetSortedMember(load_groups_[group].serving, id, serving);
-  MarkGroupDirty(group);
+  record.agg.serving = serving;
+  const StorageNode* node = NodeRecord::Storage(&record);
+  bool is_storage = node != nullptr;
+  SetSortedMember(is_storage ? serving_storage_nodes_ : serving_meta_nodes_, id, serving);
   // The monitor only compares serving nodes, so the node's rate-window
   // deltas follow it into or out of the streaming aggregates.
-  SetNodeInRateAggs(id, /*is_storage=*/true, serving);
-  for (BrickId b : FindStorageNode(id)->bricks) {
+  SetNodeInRateAggs(id, is_storage, serving);
+  if (!is_storage) {
+    return;
+  }
+  SetSortedMember(load_groups_[record.load_group].serving, id, serving);
+  MarkGroupDirty(record.load_group);
+  for (BrickId b : node->bricks) {
     const Brick* brick = FindBrick(b);
     if (brick != nullptr && brick->online) {
       SetBrickInFleet(*brick, serving);
@@ -461,37 +440,17 @@ void DfsCluster::SetStorageNodeServing(NodeId id, bool serving) {
   }
 }
 
-void DfsCluster::SetMetaNodeServing(NodeId id, bool serving) {
-  ++membership_epoch_;
-  SetSortedMember(serving_meta_nodes_, id, serving);
-  SetNodeInRateAggs(id, /*is_storage=*/false, serving);
-}
-
-const std::vector<BrickId>& DfsCluster::ServingBricks() const {
-  return serving_bricks_;
-}
-
-const std::vector<NodeId>& DfsCluster::ServingStorageNodeIds() const {
-  return serving_storage_nodes_;
-}
-
 NodeId DfsCluster::LeastCapacityServingNode() const {
   uint64_t best_capacity = UINT64_MAX;
   NodeId best = kInvalidNode;
   for (NodeId id : serving_storage_nodes_) {
-    if (node_agg_[id].cap_all < best_capacity) {
-      best_capacity = node_agg_[id].cap_all;
+    if (nodes_[id].agg.cap_all < best_capacity) {
+      best_capacity = nodes_[id].agg.cap_all;
       best = id;
     }
   }
   return best;
 }
-
-uint64_t DfsCluster::TotalCapacityBytes() const { return fleet_cap_; }
-
-uint64_t DfsCluster::TotalUsedBytes() const { return total_used_all_; }
-
-uint64_t DfsCluster::TotalServingUsedBytes() const { return fleet_used_; }
 
 uint64_t DfsCluster::FreeSpaceBytes() const {
   // capacity - sum(min(used, capacity)) over serving bricks; min(used, cap)
@@ -500,11 +459,17 @@ uint64_t DfsCluster::FreeSpaceBytes() const {
   return fleet_cap_ - (fleet_used_ - fleet_overflow_);
 }
 
+uint64_t DfsCluster::FreeSpaceWithout(const Brick& brick) const {
+  // The fleet aggregate sums the clamped FreeBytes of serving bricks; an
+  // online brick is one of them exactly when its node serves.
+  return FreeSpaceBytes() - (nodes_[brick.node].agg.serving ? brick.FreeBytes() : 0);
+}
+
 std::vector<double> DfsCluster::PerNodeUsedBytes() const {
   std::vector<double> out;
   out.reserve(serving_storage_nodes_.size());
   for (NodeId id : serving_storage_nodes_) {
-    out.push_back(static_cast<double>(node_agg_[id].used_all));
+    out.push_back(static_cast<double>(nodes_[id].agg.used_all));
   }
   return out;
 }
@@ -513,9 +478,10 @@ std::vector<double> DfsCluster::PerNodeUsedFraction() const {
   std::vector<double> out;
   out.reserve(serving_storage_nodes_.size());
   for (NodeId id : serving_storage_nodes_) {
-    if (node_agg_[id].cap_online > 0) {
-      out.push_back(static_cast<double>(node_agg_[id].used_online) /
-                    static_cast<double>(node_agg_[id].cap_online));
+    const NodeLoadAgg& agg = nodes_[id].agg;
+    if (agg.cap_online > 0) {
+      out.push_back(static_cast<double>(agg.used_online) /
+                    static_cast<double>(agg.cap_online));
     }
   }
   return out;
@@ -642,11 +608,10 @@ MigrationPlan DfsCluster::PlanLevelingByUsage(
       if (excess == 0 || receiver_cursor >= receivers.size()) {
         break;
       }
-      auto layout_it = layouts_.find(file);
-      if (layout_it == layouts_.end() || chunk_index >= layout_it->second.chunks.size()) {
+      const ChunkPlacement* chunk = FindChunk(file, chunk_index);
+      if (chunk == nullptr) {
         continue;
       }
-      const ChunkPlacement& chunk = layout_it->second.chunks[chunk_index];
       if (ChunkPinnedToBrick(file, chunk_index, donor)) {
         THEMIS_LOG(kDebug, "leveling: file%llu#%u pinned to brick%u",
                    static_cast<unsigned long long>(file), chunk_index, donor);
@@ -658,22 +623,22 @@ MigrationPlan DfsCluster::PlanLevelingByUsage(
       std::vector<BrickId>& targets = planned_targets[{file, chunk_index}];
       while (probe < receivers.size()) {
         Receiver& recv = receivers[probe];
-        bool collides = chunk.HasReplicaOn(recv.brick) ||
+        bool collides = chunk->HasReplicaOn(recv.brick) ||
                         std::find(targets.begin(), targets.end(), recv.brick) !=
                             targets.end();
-        if (recv.headroom >= chunk.bytes && !collides) {
+        if (recv.headroom >= chunk->bytes && !collides) {
           THEMIS_LOG(kDebug, "leveling: plan move file%llu#%u brick%u->brick%u %lluM",
                      static_cast<unsigned long long>(file), chunk_index, donor,
-                     recv.brick, static_cast<unsigned long long>(chunk.bytes >> 20));
+                     recv.brick, static_cast<unsigned long long>(chunk->bytes >> 20));
           targets.push_back(recv.brick);
           plan.push_back(ChunkMove{.file = file,
                                    .chunk_index = chunk_index,
                                    .from = donor,
                                    .to = recv.brick,
-                                   .bytes = chunk.bytes,
+                                   .bytes = chunk->bytes,
                                    .reason = MoveReason::kRebalance});
-          recv.headroom -= chunk.bytes;
-          excess -= std::min(excess, chunk.bytes);
+          recv.headroom -= chunk->bytes;
+          excess -= std::min(excess, chunk->bytes);
           placed = true;
           break;
         }
@@ -691,12 +656,6 @@ MigrationPlan DfsCluster::PlanLevelingByUsage(
   return plan;
 }
 
-std::vector<NodeId> DfsCluster::ListMetaNodes() const { return serving_meta_nodes_; }
-
-std::vector<NodeId> DfsCluster::ListStorageNodes() const { return ServingStorageNodeIds(); }
-
-std::vector<BrickId> DfsCluster::ListBricks() const { return ServingBricks(); }
-
 // ---------------------------------------------------------------------------
 // Load accounting
 
@@ -706,30 +665,19 @@ std::vector<BrickId> DfsCluster::ListBricks() const { return ServingBricks(); }
 // scan-and-difference.
 void DfsCluster::ChargeNode(NodeId node, uint64_t requests, uint64_t reads,
                             uint64_t writes, double cpu_seconds) {
-  NodeLoadCounters* load = nullptr;
-  bool is_storage = false;
-  bool serving = false;
-  if (StorageNode* sn = FindStorageNode(node)) {
-    load = &sn->load;
-    is_storage = true;
-    serving = sn->Serving();
-  } else if (auto it = meta_nodes_.find(node); it != meta_nodes_.end()) {
-    load = &it->second.load;
-    serving = it->second.Serving();
-  } else {
+  NodeBase* base = FindNode(node);
+  if (base == nullptr) {
     return;
   }
-  if (rate_windows_.size() <= node) {
-    rate_windows_.resize(node + 1);
-  }
-  NodeRateWindow& window = rate_windows_[node];
+  NodeLoadCounters* load = &base->load;
+  bool is_storage = FindStorageNode(node) != nullptr;
+  bool serving = base->Serving();
+  NodeRateWindow& window = nodes_[node].window;
   if (window.epoch != window_epoch_) {
-    window.epoch = window_epoch_;
-    window.base_cpu = load->cpu_seconds;
-    window.last_cpu = load->cpu_seconds;
-    window.base_net = load->requests + load->read_ios + load->write_ios;
-    window.cpu_ticks = 0;
-    window.net_delta = 0;
+    window = NodeRateWindow{.epoch = window_epoch_,
+                            .base_cpu = load->cpu_seconds,
+                            .last_cpu = load->cpu_seconds,
+                            .base_net = load->requests + load->read_ios + load->write_ios};
   }
   load->requests += requests;
   load->read_ios += reads;
@@ -762,32 +710,19 @@ void DfsCluster::ChargeNode(NodeId node, uint64_t requests, uint64_t reads,
 }
 
 void DfsCluster::CrashNode(NodeId node) {
-  if (StorageNode* sn = FindStorageNode(node)) {
-    bool was_serving = sn->Serving();
-    if (!sn->crashed) {
-      ++crashed_nodes_;
-    }
-    sn->crashed = true;
-    if (was_serving) {
-      SetStorageNodeServing(node, false);
-    }
+  NodeBase* base = FindNode(node);
+  if (base == nullptr) {
     return;
   }
-  auto it = meta_nodes_.find(node);
-  if (it != meta_nodes_.end()) {
-    bool was_serving = it->second.Serving();
-    if (!it->second.crashed) {
-      ++crashed_nodes_;
-    }
-    it->second.crashed = true;
-    if (was_serving) {
-      SetMetaNodeServing(node, false);
-    }
+  if (!base->crashed) {
+    ++crashed_nodes_;
   }
+  base->crashed = true;
+  SetNodeServing(node, false);
 }
 
 void DfsCluster::CrashNodeForEnvFault(NodeId node) {
-  bool is_meta = meta_nodes_.count(node) != 0;
+  bool is_meta = FindMetaNode(node) != nullptr;
   CrashNode(node);
   if (!is_meta || balancer_crashed_) {
     return;
@@ -819,28 +754,18 @@ void DfsCluster::CrashNodeForEnvFault(NodeId node) {
 }
 
 void DfsCluster::RestartNode(NodeId node) {
-  if (StorageNode* sn = FindStorageNode(node)) {
-    if (sn->crashed) {
-      COV_BRANCH(cov_, CovModule::kRecovery, 32);
-      sn->crashed = false;
-      --crashed_nodes_;
-      // The inverse of the crash: the node and its online bricks rejoin the
-      // serving set (a decommissioned node stays out).
-      SetStorageNodeServing(node, sn->Serving());
-    }
+  NodeBase* base = FindNode(node);
+  if (base == nullptr || !base->crashed) {
     return;
   }
-  auto it = meta_nodes_.find(node);
-  if (it == meta_nodes_.end() || !it->second.crashed) {
-    return;
-  }
-  COV_BRANCH(cov_, CovModule::kRecovery, 33);
-  it->second.crashed = false;
+  bool is_storage = FindStorageNode(node) != nullptr;
+  COV_BRANCH(cov_, CovModule::kRecovery, is_storage ? 32 : 33);
+  base->crashed = false;
   --crashed_nodes_;
-  if (it->second.Serving()) {
-    SetMetaNodeServing(node, true);
-  }
-  if (balancer_crashed_) {
+  // The inverse of the crash: the node (and its online bricks) rejoin the
+  // serving set; a decommissioned node stays out.
+  SetNodeServing(node, base->Serving());
+  if (!is_storage && balancer_crashed_) {
     // First recovered meta node brings the balancer process back up; it
     // reloads its persisted flavor state and re-runs the interrupted round
     // from scratch against the current layout.
@@ -864,127 +789,53 @@ bool DfsCluster::EnvRecoveryPending() const {
   return env_ != nullptr && env_->RecoveryPending(*this);
 }
 
-uint64_t DfsCluster::SkewBytes(BrickId from, BrickId to, uint64_t bytes) {
+uint64_t DfsCluster::TakeReplicas(BrickId from, BrickId to, uint64_t bytes) {
   Brick* src = FindBrick(from);
-  Brick* dst = FindBrick(to);
-  if (src == nullptr || dst == nullptr || from == to) {
+  Brick* dst = FindBrick(to);  // null: destroy
+  if (src == nullptr) {
     return 0;
   }
-  uint64_t moved = 0;
-  auto idx_it = brick_chunks_.find(from);
-  if (idx_it == brick_chunks_.end()) {
-    return 0;
-  }
-  // This runs on the continuous-fault path (every op while a storage fault
-  // is active), so iterate the live vector instead of snapshotting it: only
-  // the current element is ever erased (erase returns the next iterator), and
-  // inserts go to `to`'s entry (from != to), so the visit order matches a
-  // snapshot walk exactly. Entries are sorted by file, so the layout lookup
-  // is cached across consecutive chunks of the same file.
-  std::vector<std::pair<FileId, uint32_t>>& from_set = idx_it->second;
-  auto layout_it = layouts_.end();
-  FileId layout_file = 0;
-  bool layout_cached = false;
+  uint64_t taken = 0;
+  // Runs per op while a storage fault is active, so it walks the live list:
+  // only the current entry is ever erased and inserts go to `to`'s list
+  // (from != to), so the visit order equals a snapshot walk's.
+  std::vector<std::pair<FileId, uint32_t>>& from_set = bricks_[from].chunks;
   auto it = from_set.begin();
-  while (it != from_set.end()) {
-    if (moved >= bytes || dst->FreeBytes() == 0) {
-      break;
-    }
+  while (it != from_set.end() && taken < bytes && (dst == nullptr || dst->FreeBytes() > 0)) {
     const auto [file, chunk_index] = *it;
-    if (!layout_cached || layout_file != file) {
-      layout_it = layouts_.find(file);
-      layout_file = file;
-      layout_cached = true;
-    }
-    if (layout_it == layouts_.end() || chunk_index >= layout_it->second.chunks.size()) {
+    ChunkPlacement* chunk = FindChunk(file, chunk_index);
+    if (chunk == nullptr ||
+        (dst != nullptr && (chunk->HasReplicaOn(to) || chunk->bytes > dst->FreeBytes()))) {
       ++it;
       continue;
     }
-    ChunkPlacement& chunk = layout_it->second.chunks[chunk_index];
-    if (chunk.HasReplicaOn(to) || chunk.bytes > dst->FreeBytes()) {
+    auto replica = std::find(chunk->replicas.begin(), chunk->replicas.end(), from);
+    if (replica == chunk->replicas.end()) {
       ++it;
       continue;
     }
-    bool swapped = false;
-    for (BrickId& replica : chunk.replicas) {
-      if (replica == from) {
-        replica = to;
-        ReleaseBrickBytes(src, chunk.bytes);
-        AccreteBrickBytes(dst, chunk.bytes);
-        AddReplicaIndex(to, file, chunk_index);
-        moved += chunk.bytes;
-        swapped = true;
-        break;
+    ReleaseBrickBytes(src, chunk->bytes);
+    if (dst != nullptr) {
+      *replica = to;
+      AccreteBrickBytes(dst, chunk->bytes);
+      AddReplicaIndex(to, file, chunk_index);
+    } else {
+      chunk->replicas.erase(replica);
+      if (chunk->replicas.empty()) {
+        lost_bytes_ += chunk->bytes;  // last replica gone: user data lost
       }
     }
-    if (swapped) {
-      it = from_set.erase(it);
-    } else {
-      ++it;
-    }
+    taken += chunk->bytes;
+    it = from_set.erase(it);
   }
-  if (from_set.empty()) {
-    brick_chunks_.erase(idx_it);
-  }
-  return moved;
-}
-
-uint64_t DfsCluster::DestroyBytes(BrickId brick, uint64_t bytes) {
-  Brick* target = FindBrick(brick);
-  if (target == nullptr) {
-    return 0;
-  }
-  uint64_t destroyed = 0;
-  auto idx_it = brick_chunks_.find(brick);
-  if (idx_it == brick_chunks_.end()) {
-    return 0;
-  }
-  // Same live iteration as SkewBytes: only the current element is ever
-  // erased, so this visits exactly what a snapshot copy would.
-  std::vector<std::pair<FileId, uint32_t>>& brick_set = idx_it->second;
-  auto layout_it = layouts_.end();
-  FileId layout_file = 0;
-  bool layout_cached = false;
-  auto it = brick_set.begin();
-  while (it != brick_set.end()) {
-    if (destroyed >= bytes) {
-      break;
-    }
-    const auto [file, chunk_index] = *it;
-    if (!layout_cached || layout_file != file) {
-      layout_it = layouts_.find(file);
-      layout_file = file;
-      layout_cached = true;
-    }
-    if (layout_it == layouts_.end() || chunk_index >= layout_it->second.chunks.size()) {
-      ++it;
-      continue;
-    }
-    ChunkPlacement& chunk = layout_it->second.chunks[chunk_index];
-    auto replica_it = std::find(chunk.replicas.begin(), chunk.replicas.end(), brick);
-    if (replica_it == chunk.replicas.end()) {
-      ++it;
-      continue;
-    }
-    chunk.replicas.erase(replica_it);
-    ReleaseBrickBytes(target, chunk.bytes);
-    it = brick_set.erase(it);
-    destroyed += chunk.bytes;
-    if (chunk.replicas.empty()) {
-      lost_bytes_ += chunk.bytes;  // last replica gone: user data lost
-    }
-  }
-  if (brick_set.empty()) {
-    brick_chunks_.erase(idx_it);
-  }
-  return destroyed;
+  return taken;
 }
 
 // ---------------------------------------------------------------------------
 // Replica index
 
 void DfsCluster::AddReplicaIndex(BrickId brick, FileId file, uint32_t chunk) {
-  auto& vec = brick_chunks_[brick];
+  auto& vec = bricks_[brick].chunks;
   const std::pair<FileId, uint32_t> key{file, chunk};
   if (vec.empty() || vec.back() < key) {
     vec.push_back(key);  // monotonic file ids make append the common case
@@ -997,26 +848,18 @@ void DfsCluster::AddReplicaIndex(BrickId brick, FileId file, uint32_t chunk) {
 }
 
 void DfsCluster::RemoveReplicaIndex(BrickId brick, FileId file, uint32_t chunk) {
-  auto it = brick_chunks_.find(brick);
-  if (it == brick_chunks_.end()) {
-    return;
-  }
-  auto& vec = it->second;
+  auto& vec = bricks_[brick].chunks;  // every replica names a live brick
   const std::pair<FileId, uint32_t> key{file, chunk};
   auto pos = std::lower_bound(vec.begin(), vec.end(), key);
   if (pos != vec.end() && *pos == key) {
     vec.erase(pos);
-  }
-  if (vec.empty()) {
-    brick_chunks_.erase(it);
   }
 }
 
 const std::vector<std::pair<FileId, uint32_t>>& DfsCluster::ChunksOnBrickRef(
     BrickId brick) const {
   static const std::vector<std::pair<FileId, uint32_t>> kEmpty;
-  auto it = brick_chunks_.find(brick);
-  return it == brick_chunks_.end() ? kEmpty : it->second;
+  return bricks_.Find(brick) != nullptr ? bricks_[brick].chunks : kEmpty;
 }
 
 // ---------------------------------------------------------------------------
@@ -1028,34 +871,38 @@ BrickId DfsCluster::NewBrickOnNode(NodeId node, uint64_t capacity) {
     return kInvalidBrick;
   }
   BrickId id = next_brick_id_++;
-  Brick& brick = bricks_[id];
+  Brick& brick = bricks_.Grow(id).brick;
   // Created offline and then brought online: a new brick holds no bytes, so
   // going online adds only its capacity to the sums.
   brick = Brick{.id = id, .node = node, .capacity_bytes = capacity, .online = false};
-  IndexBrickPtr(id, &brick);
   sn->bricks.push_back(id);
-  node_agg_[node].cap_all += capacity;
+  nodes_[node].agg.cap_all += capacity;
   SetBrickOnline(brick, true);
   return id;
 }
 
+void DfsCluster::AddMetaNodeInternal() {
+  NodeId id = next_node_id_++;
+  nodes_.Grow(id).node.emplace<MetaNode>().id = id;
+  ++meta_node_count_;
+  SetNodeServing(id, true);
+}
+
 NodeId DfsCluster::AddStorageNodeInternal(uint64_t brick_capacity) {
   NodeId id = next_node_id_++;
-  StorageNode node;
-  node.id = id;
-  StorageNode& stored = storage_nodes_[id];
-  stored = node;
-  IndexStorageNodePtr(id, &stored);
+  nodes_.Grow(id).node.emplace<StorageNode>().id = id;
   // Group membership is fixed at admission (GeoFS's fewest-members policy is
   // add-order-dependent, so the assignment is real state — snapshot v5
   // persists it) and must exist before the serving-list hooks run.
   AssignLoadGroup(id);
-  if (node_agg_.size() <= id) {
-    node_agg_.resize(id + 1);
-  }
-  SetStorageNodeServing(id, true);
+  SetNodeServing(id, true);
   NewBrickOnNode(id, brick_capacity);
   return id;
+}
+
+FileLayout& DfsCluster::LayoutFor(FileId file) {
+  LayoutSlot& slot = layouts_.Grow(file);
+  return slot.has_value() ? *slot : slot.emplace();
 }
 
 // ---------------------------------------------------------------------------
@@ -1100,110 +947,20 @@ OpResult DfsCluster::Execute(const Operation& op) {
     // even while every metadata node is down. Without an attached runtime
     // they are rejected — the fault-free grammar never generates them, so
     // this arm stays cold in every fault-free campaign.
-    if (env_ == nullptr) {
-      result.status =
-          Status::Unavailable("no environment-fault runtime attached");
-      result.cost = config_.base_op_latency;
-    } else {
-      result = env_->ExecuteEnvOp(*this, op);
-      result.cost += config_.base_op_latency;
-    }
-    ++total_ops_executed_;
-    SyncMetadataReplicas();
-    uint8_t env_class = static_cast<uint8_t>(OpClass::kEnvFault);
-    recent_classes_.push_back(env_class);
-    ++class_counts_[env_class];
-    recent_class_mask_ |= static_cast<uint8_t>(1u << env_class);
-    if (recent_classes_.size() > 8) {
-      uint8_t dropped = recent_classes_.front();
-      recent_classes_.pop_front();
-      if (--class_counts_[dropped] == 0) {
-        recent_class_mask_ &= static_cast<uint8_t>(~(1u << dropped));
-      }
-    }
-    clock_.Advance(result.cost);
     if (env_ != nullptr) {
-      env_->OnClockAdvanced(*this, clock_.now());
+      result = env_->ExecuteEnvOp(*this, op);
+    } else {
+      result.status = Status::Unavailable("no environment-fault runtime attached");
     }
-    AdvanceBackground(result.cost);
-    MaybeTriggerBalancer();
-    RecordOpCoverage(op, result);
-    if (hooks_ != nullptr) {
-      hooks_->OnOperationExecuted(*this, op, result);
-    }
-    return result;
-  }
-  NodeId mn = RouteToMetaNode(op);
-  if (mn == kInvalidNode) {
+  } else if (RouteToMetaNode(op) == kInvalidNode) {
     result.status = Status::Unavailable("no metadata node is serving");
-    result.cost = config_.base_op_latency;
   } else {
-    switch (op.kind) {
-      case OpKind::kCreate:
-        result = DoCreate(op);
-        break;
-      case OpKind::kDelete:
-        result = DoDelete(op);
-        break;
-      case OpKind::kAppend:
-        result = DoAppend(op);
-        break;
-      case OpKind::kOverwrite:
-        result = DoOverwrite(op, /*truncate_first=*/false);
-        break;
-      case OpKind::kTruncateOverwrite:
-        result = DoOverwrite(op, /*truncate_first=*/true);
-        break;
-      case OpKind::kOpen:
-        result = DoOpen(op);
-        break;
-      case OpKind::kMkdir:
-        result = DoMkdir(op);
-        break;
-      case OpKind::kRmdir:
-        result = DoRmdir(op);
-        break;
-      case OpKind::kRename:
-        result = DoRename(op);
-        break;
-      case OpKind::kAddMetaNode:
-        result = DoAddMetaNode(op);
-        break;
-      case OpKind::kRemoveMetaNode:
-        result = DoRemoveMetaNode(op);
-        break;
-      case OpKind::kAddStorageNode:
-        result = DoAddStorageNode(op);
-        break;
-      case OpKind::kRemoveStorageNode:
-        result = DoRemoveStorageNode(op);
-        break;
-      case OpKind::kAddVolume:
-        result = DoAddVolume(op);
-        break;
-      case OpKind::kRemoveVolume:
-        result = DoRemoveVolume(op);
-        break;
-      case OpKind::kExpandVolume:
-        result = DoExpandVolume(op);
-        break;
-      case OpKind::kReduceVolume:
-        result = DoReduceVolume(op);
-        break;
-      case OpKind::kEnvMsgLoss:
-      case OpKind::kEnvMsgReorder:
-      case OpKind::kEnvMsgDuplicate:
-      case OpKind::kEnvMsgCorrupt:
-      case OpKind::kEnvSlowDisk:
-      case OpKind::kEnvCrashNode:
-      case OpKind::kEnvClearFaults:
-        // Unreachable: env ops are dispatched before metadata routing.
-        result.status = Status::Internal("env op reached the request switch");
-        break;
-    }
-    result.cost += config_.base_op_latency;
+    result = ExecuteRequest(op);
   }
+  result.cost += config_.base_op_latency;
 
+  // The common tail. Env ops are OpClass::kEnvFault, so they never bump
+  // the namespace epoch.
   ++total_ops_executed_;
   if (ClassOf(op.kind) == OpClass::kFile && op.kind != OpKind::kOpen &&
       result.status.ok()) {
@@ -1235,12 +992,57 @@ OpResult DfsCluster::Execute(const Operation& op) {
   return result;
 }
 
+OpResult DfsCluster::ExecuteRequest(const Operation& op) {
+  switch (op.kind) {
+    case OpKind::kCreate:
+      return DoCreate(op);
+    case OpKind::kDelete:
+      return DoDelete(op);
+    case OpKind::kAppend:
+      return DoAppend(op);
+    case OpKind::kOverwrite:
+      return DoOverwrite(op, /*truncate_first=*/false);
+    case OpKind::kTruncateOverwrite:
+      return DoOverwrite(op, /*truncate_first=*/true);
+    case OpKind::kOpen:
+      return DoOpen(op);
+    case OpKind::kMkdir:
+      return DoMkdir(op);
+    case OpKind::kRmdir:
+      return DoRmdir(op);
+    case OpKind::kRename:
+      return DoRename(op);
+    case OpKind::kAddMetaNode:
+      return DoAddMetaNode(op);
+    case OpKind::kRemoveMetaNode:
+      return DoRemoveMetaNode(op);
+    case OpKind::kAddStorageNode:
+      return DoAddStorageNode(op);
+    case OpKind::kRemoveStorageNode:
+      return DoRemoveStorageNode(op);
+    case OpKind::kAddVolume:
+      return DoAddVolume(op);
+    case OpKind::kRemoveVolume:
+      return DoRemoveVolume(op);
+    case OpKind::kExpandVolume:
+      return DoExpandVolume(op);
+    case OpKind::kReduceVolume:
+      return DoReduceVolume(op);
+    case OpKind::kEnvMsgLoss:
+    case OpKind::kEnvMsgReorder:
+    case OpKind::kEnvMsgDuplicate:
+    case OpKind::kEnvMsgCorrupt:
+    case OpKind::kEnvSlowDisk:
+    case OpKind::kEnvCrashNode:
+    case OpKind::kEnvClearFaults:
+      // Unreachable: env ops are dispatched before metadata routing.
+      break;
+  }
+  return OpResult{.status = Status::Internal("env op reached the request switch")};
+}
+
 void DfsCluster::SyncMetadataReplicas() {
   for (NodeId id : serving_meta_nodes_) {
-    auto it = meta_nodes_.find(id);
-    if (it == meta_nodes_.end()) {
-      continue;
-    }
     if (hooks_ != nullptr && hooks_->SuppressMetadataSync(*this, id)) {
       continue;
     }
@@ -1251,7 +1053,7 @@ void DfsCluster::SyncMetadataReplicas() {
       COV_BRANCH(cov_, CovModule::kReplication, 30);
       continue;
     }
-    it->second.synced_epoch = namespace_epoch_;
+    FindMetaNode(id)->synced_epoch = namespace_epoch_;
   }
 }
 
@@ -1296,13 +1098,10 @@ Result<FileLayout> DfsCluster::PlaceFile(const std::string& path, uint64_t size)
       }
       return Status::OutOfSpace(Sprintf("no placement for chunk %u of %s", i, path.c_str()));
     }
-    ChunkPlacement chunk;
-    chunk.bytes = bytes;
-    chunk.replicas = replicas;
     for (BrickId b : replicas) {
       AccreteBrickBytes(FindBrick(b), bytes);
     }
-    layout.chunks.push_back(std::move(chunk));
+    layout.chunks.push_back(ChunkPlacement{bytes, std::move(replicas)});
   }
   return layout;
 }
@@ -1314,6 +1113,13 @@ void DfsCluster::ReleaseLayout(FileId file, const FileLayout& layout) {
       ReleaseBrickBytes(FindBrick(b), chunk.bytes);
       RemoveReplicaIndex(b, file, i);
     }
+  }
+}
+
+void DfsCluster::EraseLayout(FileId file) {
+  if (const FileLayout* layout = FindLayout(file)) {
+    ReleaseLayout(file, *layout);
+    layouts_[file].reset();
   }
 }
 
@@ -1388,11 +1194,11 @@ OpResult DfsCluster::DoCreate(const Operation& op) {
     result.status = created.status();
     return result;
   }
-  layouts_[*created] = placed.take();
-  IndexLayout(*created, layouts_[*created]);
-  ChargeLayoutIo(layouts_[*created], /*is_write=*/true);
+  const FileLayout& layout = LayoutFor(*created) = placed.take();
+  IndexLayout(*created, layout);
+  ChargeLayoutIo(layout, /*is_write=*/true);
   result.bytes_moved = op.size * static_cast<uint64_t>(config_.replication);
-  result.cost = ParallelTransferCost(layouts_[*created]);
+  result.cost = ParallelTransferCost(layout);
   result.status = Status::Ok();
   return result;
 }
@@ -1406,11 +1212,7 @@ OpResult DfsCluster::DoDelete(const Operation& op) {
     result.status = Status::NotFound(op.path);  // raw operand, as clients see
     return result;
   }
-  auto layout_it = layouts_.find(*id);
-  if (layout_it != layouts_.end()) {
-    ReleaseLayout(*id, layout_it->second);
-    layouts_.erase(layout_it);
-  }
+  EraseLayout(*id);
   result.status = tree_.RemoveFile(rid);
   return result;
 }
@@ -1424,7 +1226,7 @@ OpResult DfsCluster::DoAppend(const Operation& op) {
     result.status = Status::NotFound(op.path);  // raw operand, as clients see
     return result;
   }
-  FileLayout& layout = layouts_[*id];
+  FileLayout& layout = LayoutFor(*id);
   uint64_t bytes = op.size;
   if (config_.max_file_size != 0 && layout.size + bytes > config_.max_file_size) {
     COV_BRANCH(cov_, CovModule::kRequest, 35);
@@ -1439,15 +1241,11 @@ OpResult DfsCluster::DoAppend(const Operation& op) {
   // remain individually migratable); otherwise place a new chunk.
   if (!layout.chunks.empty() && layout.chunks.back().bytes + bytes <= config_.chunk_size) {
     ChunkPlacement& last = layout.chunks.back();
-    bool fits = true;
-    for (BrickId b : last.replicas) {
+    auto has_room = [&](BrickId b) {
       const Brick* brick = FindBrick(b);
-      if (brick == nullptr || brick->FreeBytes() < bytes) {
-        fits = false;
-        break;
-      }
-    }
-    if (fits) {
+      return brick != nullptr && brick->FreeBytes() >= bytes;
+    };
+    if (std::all_of(last.replicas.begin(), last.replicas.end(), has_room)) {
       last.bytes += bytes;
       for (BrickId b : last.replicas) {
         Brick* brick = FindBrick(b);
@@ -1473,9 +1271,6 @@ OpResult DfsCluster::DoAppend(const Operation& op) {
       COV_BRANCH(cov_, CovModule::kPlacement, 4);
       break;  // partial append: the write hit ENOSPC mid-stream
     }
-    ChunkPlacement chunk;
-    chunk.bytes = piece;
-    chunk.replicas = replicas;
     uint32_t index = static_cast<uint32_t>(layout.chunks.size());
     for (BrickId b : replicas) {
       Brick* brick = FindBrick(b);
@@ -1484,7 +1279,7 @@ OpResult DfsCluster::DoAppend(const Operation& op) {
       ChargeNode(brick->node, 0, 0, IoCount(piece),
                  kStorageCpuPerGiB * static_cast<double>(piece) / kGiB);
     }
-    layout.chunks.push_back(std::move(chunk));
+    layout.chunks.push_back(ChunkPlacement{piece, std::move(replicas)});
     layout.size += piece;
     appended += piece;
     remaining -= piece;
@@ -1519,27 +1314,23 @@ OpResult DfsCluster::DoOverwrite(const Operation& op, bool truncate_first) {
                 static_cast<unsigned long long>(config_.max_file_size)));
     return result;
   }
-  auto layout_it = layouts_.find(*id);
-  if (layout_it != layouts_.end()) {
-    ReleaseLayout(*id, layout_it->second);
-    layouts_.erase(layout_it);
-  }
+  EraseLayout(*id);
   uint64_t new_size = op.size;
   Result<FileLayout> placed = PlaceFile(NormalizedOpPath(op), new_size);
   if (!placed.ok()) {
     // The file now exists with no data (the truncate landed, the write
     // failed) — exactly what happens on a full real system.
     (void)tree_.SetFileSize(rid, 0);
-    layouts_[*id] = FileLayout{};
+    LayoutFor(*id) = FileLayout{};
     result.status = placed.status();
     return result;
   }
-  layouts_[*id] = placed.take();
-  IndexLayout(*id, layouts_[*id]);
-  ChargeLayoutIo(layouts_[*id], /*is_write=*/true);
+  const FileLayout& layout = LayoutFor(*id) = placed.take();
+  IndexLayout(*id, layout);
+  ChargeLayoutIo(layout, /*is_write=*/true);
   result.status = tree_.SetFileSize(rid, new_size);
   result.bytes_moved = new_size * config_.replication;
-  result.cost = ParallelTransferCost(layouts_[*id]);
+  result.cost = ParallelTransferCost(layout);
   return result;
 }
 
@@ -1551,11 +1342,10 @@ OpResult DfsCluster::DoOpen(const Operation& op) {
     result.status = Status::NotFound(op.path);  // raw operand, as clients see
     return result;
   }
-  auto layout_it = layouts_.find(*id);
-  if (layout_it != layouts_.end()) {
-    ChargeLayoutIo(layout_it->second, /*is_write=*/false);
-    result.bytes_moved = layout_it->second.size;
-    result.cost = TransferCost(layout_it->second.size) / 2;  // read path is lighter
+  if (const FileLayout* layout = FindLayout(*id)) {
+    ChargeLayoutIo(*layout, /*is_write=*/false);
+    result.bytes_moved = layout->size;
+    result.cost = TransferCost(layout->size) / 2;  // read path is lighter
   }
   result.status = Status::Ok();
   return result;
@@ -1602,11 +1392,7 @@ OpResult DfsCluster::DoAddMetaNode(const Operation& op) {
     result.status = Status::FailedPrecondition("metadata node limit reached");
     return result;
   }
-  NodeId id = next_node_id_++;
-  MetaNode node;
-  node.id = id;
-  meta_nodes_[id] = node;
-  SetMetaNodeServing(id, true);
+  AddMetaNodeInternal();
   result.cost = Seconds(5);
   NotifyTopologyChanged();
   result.status = Status::Ok();
@@ -1620,14 +1406,13 @@ OpResult DfsCluster::DoRemoveMetaNode(const Operation& op) {
     result.status = Status::FailedPrecondition("metadata node minimum reached");
     return result;
   }
-  NodeId target = op.node;
-  auto it = meta_nodes_.find(target);
-  if (it == meta_nodes_.end() || !it->second.Serving()) {
-    result.status = Status::NotFound(Sprintf("meta node %u", target));
+  MetaNode* node = FindMetaNode(op.node);
+  if (node == nullptr || !node->Serving()) {
+    result.status = Status::NotFound(Sprintf("meta node %u", op.node));
     return result;
   }
-  it->second.online = false;
-  SetMetaNodeServing(target, false);
+  node->online = false;
+  SetNodeServing(op.node, false);
   result.cost = Seconds(3);
   NotifyTopologyChanged();
   result.status = Status::Ok();
@@ -1664,20 +1449,18 @@ OpResult DfsCluster::DoRemoveStorageNode(const Operation& op) {
   }
   // The node is serving, so exactly its online bricks sit in the serving
   // list — count the rest by subtraction instead of a fleet walk.
-  size_t own_serving = 0;
-  for (BrickId b : node->bricks) {
+  auto serving_brick = [&](BrickId b) {
     const Brick* brick = FindBrick(b);
-    if (brick != nullptr && brick->online) {
-      ++own_serving;
-    }
-  }
+    return brick != nullptr && brick->online;
+  };
+  size_t own_serving = std::count_if(node->bricks.begin(), node->bricks.end(), serving_brick);
   size_t bricks_elsewhere = ServingBricks().size() - own_serving;
   if (bricks_elsewhere < kMinServingBricks) {
     result.status = Status::FailedPrecondition("too few bricks would remain");
     return result;
   }
   node->online = false;
-  SetStorageNodeServing(op.node, false);
+  SetNodeServing(op.node, false);
   for (BrickId b : node->bricks) {
     Brick* brick = FindBrick(b);
     if (brick != nullptr && brick->online) {
@@ -1685,7 +1468,12 @@ OpResult DfsCluster::DoRemoveStorageNode(const Operation& op) {
     }
   }
   OnStorageNodeDecommissioned(op.node);
-  ScheduleRecovery(op.node);
+  // Re-replicate the chunks that lost a replica with the node.
+  COV_BRANCH(cov_, CovModule::kRecovery, 20);
+  BeginRecoveryPass();
+  for (BrickId b : node->bricks) {
+    ScheduleMoves(b, MoveReason::kRecovery);
+  }
   result.cost = Seconds(10);
   NotifyTopologyChanged();
   result.status = Status::Ok();
@@ -1723,21 +1511,16 @@ OpResult DfsCluster::DoRemoveVolume(const Operation& op) {
     result.status = Status::NotFound(Sprintf("brick %u", op.brick));
     return result;
   }
-  // Refuse if the remaining bricks cannot absorb the data. The fleet free
-  // aggregate is exactly the sum of per-brick clamped FreeBytes over serving
-  // bricks, so subtracting this brick's share gives the same value as the
-  // old fleet walk, in O(1).
-  const StorageNode* owner = FindStorageNode(brick->node);
-  uint64_t remaining_free = FreeSpaceBytes();
-  if (owner != nullptr && owner->Serving()) {
-    remaining_free -= brick->FreeBytes();
-  }
-  if (ServingBricks().size() <= kMinServingBricks || remaining_free < brick->used_bytes) {
+  // Refuse if the remaining bricks cannot absorb the data.
+  if (ServingBricks().size() <= kMinServingBricks ||
+      FreeSpaceWithout(*brick) < brick->used_bytes) {
     result.status = Status::FailedPrecondition("insufficient space to evacuate brick");
     return result;
   }
   SetBrickOnline(*brick, false);  // draining: no new placements
-  ScheduleEvacuation(op.brick);
+  COV_BRANCH(cov_, CovModule::kMigration, 22);
+  BeginRecoveryPass();
+  ScheduleMoves(op.brick, MoveReason::kEvacuation);
   result.cost = Seconds(10);
   NotifyTopologyChanged();
   result.status = Status::Ok();
@@ -1786,23 +1569,15 @@ OpResult DfsCluster::DoReduceVolume(const Operation& op) {
   // the cluster can absorb the overflow (what lvreduce/remove-brick
   // preflights enforce).
   uint64_t overflow = Excess(brick->used_bytes, new_capacity);
-  if (overflow > 0) {
-    // Same O(1) subtraction as DoRemoveVolume: fleet free minus this
-    // brick's clamped share equals the old per-brick walk exactly.
-    const StorageNode* owner = FindStorageNode(brick->node);
-    uint64_t remaining_free = FreeSpaceBytes();
-    if (owner != nullptr && owner->Serving()) {
-      remaining_free -= brick->FreeBytes();
-    }
-    if (remaining_free < overflow) {
-      COV_BRANCH(cov_, CovModule::kVolume, 19);
-      result.status = Status::FailedPrecondition("reduction would strand data");
-      return result;
-    }
+  if (overflow > 0 && FreeSpaceWithout(*brick) < overflow) {
+    COV_BRANCH(cov_, CovModule::kVolume, 19);
+    result.status = Status::FailedPrecondition("reduction would strand data");
+    return result;
   }
   SetBrickBytes(*brick, brick->used_bytes, new_capacity);
   if (overflow > 0) {
-    ScheduleOverflowEvacuation(op.brick, overflow);
+    BeginRecoveryPass();
+    ScheduleMoves(op.brick, MoveReason::kEvacuation, overflow);
   }
   result.cost = Seconds(8);
   NotifyTopologyChanged();
@@ -1814,7 +1589,7 @@ void DfsCluster::NotifyTopologyChanged() {
   OnTopologyChangedInternal();
   if (cov_ != nullptr) {
     uint64_t features = HashCombine(ServingBricks().size(), ServingStorageNodeIds().size());
-    features = HashCombine(features, meta_nodes_.size());
+    features = HashCombine(features, meta_node_count_);
     cov_->HitState(CovModule::kMembership, features);
   }
   if (hooks_ != nullptr) {
@@ -1841,26 +1616,20 @@ bool DfsCluster::RecoveryCandidateAfter(const RecoveryCandidate& a,
 void DfsCluster::BeginRecoveryPass() const {
   recovery_heap_.clear();
   recovery_sorted_.clear();
-  recovery_pass_built_ = false;
 }
 
-void DfsCluster::BuildRecoveryPassNow() const {
-  recovery_pass_built_ = true;
-  uint32_t order = 0;
-  for (BrickId id : ServingBricks()) {
-    const Brick* brick = FindBrick(id);
-    recovery_heap_.push_back(RecoveryCandidate{brick->UsedFraction(), order++, brick});
-  }
-  std::make_heap(recovery_heap_.begin(), recovery_heap_.end(),
-                 RecoveryCandidateAfter);
-}
-
-// The (fraction, order) key is a unique total order, so the pop sequence is
-// exactly the fully sorted order the historical sort produced.
+// The snapshot is taken at the pass's first candidate request (a pass that
+// schedules nothing costs nothing). The (fraction, order) key is a unique
+// total order, so the pop sequence is exactly the fully sorted order.
 const DfsCluster::RecoveryCandidate* DfsCluster::RecoveryCandidateAt(
     size_t rank) const {
-  if (!recovery_pass_built_) {
-    BuildRecoveryPassNow();
+  if (recovery_heap_.empty() && recovery_sorted_.empty()) {
+    uint32_t order = 0;
+    for (BrickId id : ServingBricks()) {
+      const Brick* brick = FindBrick(id);
+      recovery_heap_.push_back(RecoveryCandidate{brick->UsedFraction(), order++, brick});
+    }
+    std::make_heap(recovery_heap_.begin(), recovery_heap_.end(), RecoveryCandidateAfter);
   }
   while (recovery_sorted_.size() <= rank) {
     if (recovery_heap_.empty()) {
@@ -1919,80 +1688,30 @@ BrickId DfsCluster::PickRecoveryTarget(const ChunkPlacement& chunk,
   return best;
 }
 
-void DfsCluster::ScheduleRecovery(NodeId node) {
-  COV_BRANCH(cov_, CovModule::kRecovery, 20);
-  const StorageNode* sn = FindStorageNode(node);
-  if (sn == nullptr) {
-    return;
-  }
-  BeginRecoveryPass();
-  for (BrickId b : sn->bricks) {
-    for (const auto& [file, chunk_index] : ChunksOnBrickRef(b)) {
-      auto layout_it = layouts_.find(file);
-      if (layout_it == layouts_.end() || chunk_index >= layout_it->second.chunks.size()) {
-        continue;
-      }
-      const ChunkPlacement& chunk = layout_it->second.chunks[chunk_index];
-      BrickId target = PickRecoveryTarget(chunk, chunk.bytes);
-      if (target == kInvalidBrick) {
-        COV_BRANCH(cov_, CovModule::kRecovery, 21);
-        continue;  // under-replicated until space appears
-      }
-      move_queue_.push_back(ChunkMove{.file = file,
-                                      .chunk_index = chunk_index,
-                                      .from = b,
-                                      .to = target,
-                                      .bytes = chunk.bytes,
-                                      .reason = MoveReason::kRecovery});
-    }
-  }
-}
-
-void DfsCluster::ScheduleEvacuation(BrickId brick) {
-  COV_BRANCH(cov_, CovModule::kMigration, 22);
-  BeginRecoveryPass();
-  for (const auto& [file, chunk_index] : ChunksOnBrickRef(brick)) {
-    auto layout_it = layouts_.find(file);
-    if (layout_it == layouts_.end() || chunk_index >= layout_it->second.chunks.size()) {
-      continue;
-    }
-    const ChunkPlacement& chunk = layout_it->second.chunks[chunk_index];
-    BrickId target = PickRecoveryTarget(chunk, chunk.bytes);
-    if (target == kInvalidBrick) {
-      continue;
-    }
-    move_queue_.push_back(ChunkMove{.file = file,
-                                    .chunk_index = chunk_index,
-                                    .from = brick,
-                                    .to = target,
-                                    .bytes = chunk.bytes,
-                                    .reason = MoveReason::kEvacuation});
-  }
-}
-
-void DfsCluster::ScheduleOverflowEvacuation(BrickId brick, uint64_t bytes) {
+void DfsCluster::ScheduleMoves(BrickId brick, MoveReason reason, uint64_t limit) {
   uint64_t scheduled = 0;
-  BeginRecoveryPass();
   for (const auto& [file, chunk_index] : ChunksOnBrickRef(brick)) {
-    if (scheduled >= bytes) {
+    if (scheduled >= limit) {
       break;
     }
-    auto layout_it = layouts_.find(file);
-    if (layout_it == layouts_.end() || chunk_index >= layout_it->second.chunks.size()) {
+    const ChunkPlacement* chunk = FindChunk(file, chunk_index);
+    if (chunk == nullptr) {
       continue;
     }
-    const ChunkPlacement& chunk = layout_it->second.chunks[chunk_index];
-    BrickId target = PickRecoveryTarget(chunk, chunk.bytes);
+    BrickId target = PickRecoveryTarget(*chunk, chunk->bytes);
     if (target == kInvalidBrick) {
+      if (reason == MoveReason::kRecovery) {
+        COV_BRANCH(cov_, CovModule::kRecovery, 21);  // under-replicated for now
+      }
       continue;
     }
     move_queue_.push_back(ChunkMove{.file = file,
                                     .chunk_index = chunk_index,
                                     .from = brick,
                                     .to = target,
-                                    .bytes = chunk.bytes,
-                                    .reason = MoveReason::kEvacuation});
-    scheduled += chunk.bytes;
+                                    .bytes = chunk->bytes,
+                                    .reason = reason});
+    scheduled += chunk->bytes;
   }
 }
 
@@ -2080,32 +1799,27 @@ void DfsCluster::MaybeTriggerBalancer() {
 }
 
 void DfsCluster::ExecuteMove(const ChunkMove& move) {
-  auto layout_it = layouts_.find(move.file);
-  if (layout_it == layouts_.end() || move.chunk_index >= layout_it->second.chunks.size()) {
-    return;  // the file vanished while queued
-  }
-  ChunkPlacement& chunk = layout_it->second.chunks[move.chunk_index];
-  auto replica_it = std::find(chunk.replicas.begin(), chunk.replicas.end(), move.from);
-  if (replica_it == chunk.replicas.end()) {
-    return;  // already moved elsewhere
+  ChunkPlacement* chunk = FindChunk(move.file, move.chunk_index);
+  if (chunk == nullptr || !chunk->HasReplicaOn(move.from)) {
+    return;  // the file vanished, or the replica moved elsewhere, while queued
   }
   Brick* from = FindBrick(move.from);
   Brick* to = FindBrick(move.to);
-  if (to == nullptr || !to->online || chunk.HasReplicaOn(move.to) ||
-      to->FreeBytes() < chunk.bytes) {
+  if (to == nullptr || !to->online || chunk->HasReplicaOn(move.to) ||
+      to->FreeBytes() < chunk->bytes) {
     COV_BRANCH(cov_, CovModule::kMigration, 26);
     THEMIS_LOG(kDebug, "migration: skip %s", move.ToString().c_str());
     return;
   }
-  *replica_it = move.to;
+  *std::find(chunk->replicas.begin(), chunk->replicas.end(), move.from) = move.to;
   if (from != nullptr) {
-    ReleaseBrickBytes(from, chunk.bytes);
-    ChargeNode(from->node, 0, IoCount(chunk.bytes), 0,
-               kStorageCpuPerGiB * static_cast<double>(chunk.bytes) / kGiB * 0.5);
+    ReleaseBrickBytes(from, chunk->bytes);
+    ChargeNode(from->node, 0, IoCount(chunk->bytes), 0,
+               kStorageCpuPerGiB * static_cast<double>(chunk->bytes) / kGiB * 0.5);
   }
-  AccreteBrickBytes(to, chunk.bytes);
-  ChargeNode(to->node, 0, 0, IoCount(chunk.bytes),
-             kStorageCpuPerGiB * static_cast<double>(chunk.bytes) / kGiB);
+  AccreteBrickBytes(to, chunk->bytes);
+  ChargeNode(to->node, 0, 0, IoCount(chunk->bytes),
+             kStorageCpuPerGiB * static_cast<double>(chunk->bytes) / kGiB);
   RemoveReplicaIndex(move.from, move.file, move.chunk_index);
   AddReplicaIndex(move.to, move.file, move.chunk_index);
   if (cov_ != nullptr) {
@@ -2239,20 +1953,15 @@ void DfsCluster::AdvanceBackground(SimDuration dt) {
 }
 
 void DfsCluster::DestroyChunkReplica(FileId file, uint32_t chunk_index, BrickId brick) {
-  auto layout_it = layouts_.find(file);
-  if (layout_it == layouts_.end() || chunk_index >= layout_it->second.chunks.size()) {
+  ChunkPlacement* chunk = FindChunk(file, chunk_index);
+  if (chunk == nullptr || !chunk->HasReplicaOn(brick)) {
     return;
   }
-  ChunkPlacement& chunk = layout_it->second.chunks[chunk_index];
-  auto replica_it = std::find(chunk.replicas.begin(), chunk.replicas.end(), brick);
-  if (replica_it == chunk.replicas.end()) {
-    return;
-  }
-  chunk.replicas.erase(replica_it);
-  ReleaseBrickBytes(FindBrick(brick), chunk.bytes);
+  chunk->replicas.erase(std::find(chunk->replicas.begin(), chunk->replicas.end(), brick));
+  ReleaseBrickBytes(FindBrick(brick), chunk->bytes);
   RemoveReplicaIndex(brick, file, chunk_index);
-  if (chunk.replicas.empty()) {
-    lost_bytes_ += chunk.bytes;
+  if (chunk->replicas.empty()) {
+    lost_bytes_ += chunk->bytes;
   }
 }
 
@@ -2277,25 +1986,14 @@ void DfsCluster::FinishRebalanceIfDrained() {
       hooks_->OnRebalanceDone(*this);
     }
   }
-  // Garbage-collect fully drained offline bricks and empty offline nodes.
-  // Gated on the offline-brick count so healthy steady state (no draining
-  // bricks anywhere) skips the O(bricks) sweep entirely.
-  if (offline_bricks_ == 0) {
-    return;
-  }
-  // Sweep only the tracked offline bricks: a long-lived drain (stuck
-  // evacuation on an under-provisioned fleet) would otherwise walk the whole
-  // ever-growing brick map on every op. Collection decisions are mutually
-  // independent, so sweeping in tracking order removes exactly the bricks
-  // the historical map walk removed.
+  // Garbage-collect fully drained offline bricks, sweeping only the tracked
+  // offline bricks (none in healthy steady state). Collection decisions are
+  // mutually independent, so the sweep order does not matter.
   size_t kept = 0;
   for (size_t i = 0; i < offline_brick_list_.size(); ++i) {
     BrickId id = offline_brick_list_[i];
     const Brick* brick = FindBrick(id);
-    if (brick == nullptr || brick->online) {
-      continue;  // stale entry
-    }
-    if (brick->used_bytes == 0 && brick_chunks_.count(id) == 0) {
+    if (brick->used_bytes == 0 && bricks_[id].chunks.empty()) {
       StorageNode* node = FindStorageNode(brick->node);
       if (node != nullptr) {
         node->bricks.erase(
@@ -2305,10 +2003,8 @@ void DfsCluster::FinishRebalanceIfDrained() {
       // A drained offline brick contributes zero to every byte sum (offline
       // => not in the online/fleet sums, used_bytes == 0 => nothing in the
       // used-all sums); only its owner's all-brick capacity drops.
-      node_agg_[brick->node].cap_all -= brick->capacity_bytes;
-      brick_index_[id] = nullptr;
-      bricks_.erase(id);
-      --offline_bricks_;
+      nodes_[brick->node].agg.cap_all -= brick->capacity_bytes;
+      bricks_[id] = BrickSlot{};
     } else {
       offline_brick_list_[kept++] = id;
     }
@@ -2321,37 +2017,31 @@ void DfsCluster::FinishRebalanceIfDrained() {
 
 void DfsCluster::SampleLoadInto(std::vector<LoadSample>& out) const {
   out.clear();
-  out.reserve(storage_nodes_.size() + meta_nodes_.size());
-  for (const auto& [id, node] : storage_nodes_) {
-    LoadSample sample;
-    sample.node = id;
-    sample.is_storage = true;
-    sample.online = node.online;
-    sample.crashed = node.crashed;
-    // Draining (offline) bricks are unmounted from the balancer's point of
-    // view; the load index's per-node aggregates already exclude them, so
-    // the monitor's fleet utilization matches what the balancer can level.
-    sample.used_bytes = node_agg_[id].used_online;
-    sample.capacity_bytes = node_agg_[id].cap_online;
-    sample.requests = node.load.requests;
-    sample.read_ios = node.load.read_ios;
-    sample.write_ios = node.load.write_ios;
-    sample.cpu_seconds = node.load.cpu_seconds;
-    sample.taken_at = clock_.now();
-    out.push_back(sample);
-  }
-  for (const auto& [id, node] : meta_nodes_) {
-    LoadSample sample;
-    sample.node = id;
-    sample.is_storage = false;
-    sample.online = node.online;
-    sample.crashed = node.crashed;
-    sample.requests = node.load.requests;
-    sample.read_ios = node.load.read_ios;
-    sample.write_ios = node.load.write_ios;
-    sample.cpu_seconds = node.load.cpu_seconds;
-    sample.taken_at = clock_.now();
-    out.push_back(sample);
+  out.reserve(nodes_.size());
+  // Storage nodes first, then metadata nodes, each in id order.
+  for (bool storage : {true, false}) {
+    for (NodeId id = nodes_.first(); id < nodes_.size(); ++id) {
+      const NodeBase* node = FindNode(id);
+      if (node == nullptr || (FindStorageNode(id) != nullptr) != storage) {
+        continue;
+      }
+      LoadSample& sample = out.emplace_back();
+      sample.node = id;
+      sample.is_storage = storage;
+      sample.online = node->online;
+      sample.crashed = node->crashed;
+      // Draining (offline) bricks are unmounted from the balancer's point of
+      // view; the load index's per-node aggregates already exclude them, so
+      // the monitor's fleet utilization matches what the balancer can level.
+      // (A metadata node's brick sums are zero.)
+      sample.used_bytes = nodes_[id].agg.used_online;
+      sample.capacity_bytes = nodes_[id].agg.cap_online;
+      sample.requests = node->load.requests;
+      sample.read_ios = node->load.read_ios;
+      sample.write_ios = node->load.write_ios;
+      sample.cpu_seconds = node->load.cpu_seconds;
+      sample.taken_at = clock_.now();
+    }
   }
 }
 
@@ -2361,14 +2051,15 @@ bool DfsCluster::SnapshotLoadStats(LoadStatsSnapshot& out) const {
   out.taken_at = clock_.now();
   uint32_t storage_count = static_cast<uint32_t>(serving_storage_nodes_.size());
   uint32_t meta_count = static_cast<uint32_t>(serving_meta_nodes_.size());
-  out.cpu_storage = {cpu_storage_agg_.sum, cpu_storage_agg_.sum_sq,
-                     cpu_storage_agg_.max_delta, storage_count};
-  out.cpu_meta = {cpu_meta_agg_.sum, cpu_meta_agg_.sum_sq,
-                  cpu_meta_agg_.max_delta, meta_count};
-  out.net_storage = {net_storage_agg_.sum, net_storage_agg_.sum_sq,
-                     net_storage_agg_.max_delta, storage_count};
-  out.net_meta = {net_meta_agg_.sum, net_meta_agg_.sum_sq,
-                  net_meta_agg_.max_delta, meta_count};
+  const RateAggs& rates = rate_aggs_;
+  out.cpu_storage = {rates.cpu_storage.sum, rates.cpu_storage.sum_sq,
+                     rates.cpu_storage.max_delta, storage_count};
+  out.cpu_meta = {rates.cpu_meta.sum, rates.cpu_meta.sum_sq, rates.cpu_meta.max_delta,
+                  meta_count};
+  out.net_storage = {rates.net_storage.sum, rates.net_storage.sum_sq,
+                     rates.net_storage.max_delta, storage_count};
+  out.net_meta = {rates.net_meta.sum, rates.net_meta.sum_sq, rates.net_meta.max_delta,
+                  meta_count};
   out.fraction_nodes = frac.nodes;
   out.max_fraction = frac.max_fraction;
   out.storage_used = frac.used;
@@ -2385,15 +2076,12 @@ void DfsCluster::AdvanceLoadWindow() {
   // per-node base lazily (the next charge rebases), and the group aggregates
   // of the now-empty window are all zero.
   ++window_epoch_;
-  cpu_storage_agg_ = RateDimAgg{};
-  cpu_meta_agg_ = RateDimAgg{};
-  net_storage_agg_ = RateDimAgg{};
-  net_meta_agg_ = RateDimAgg{};
+  rate_aggs_ = RateAggs{};
 }
 
 std::string DfsCluster::DescribeState() const {
   std::string out;
-  for (const auto& [id, brick] : bricks_) {
+  for (const auto& [id, brick] : bricks()) {
     const StorageNode* node = FindStorageNode(brick.node);
     out += Sprintf("brick%u(n%u%s%s %lluG/%lluG) ", id, brick.node,
                    brick.online ? "" : ",off",
@@ -2434,7 +2122,7 @@ void DfsCluster::RecordOpCoverage(const Operation& op, const OpResult& result) {
   h = HashCombine(h, class_mask);
   h = HashCombine(h, static_cast<uint64_t>(imbalance_decile));
   h = HashCombine(h, ServingStorageNodeIds().size());
-  h = HashCombine(h, meta_nodes_.size());
+  h = HashCombine(h, meta_node_count_);
   h = HashCombine(h, file_bucket);
   h = HashCombine(h, rebalance_active_ ? 1u : 0u);
   h = HashCombine(h, static_cast<uint64_t>(completed_rebalance_rounds_ % 8));
@@ -2494,25 +2182,23 @@ void DfsCluster::SaveState(SnapshotWriter& writer) const {
   rng_.SaveState(writer);
   tree_.SaveState(writer);
 
-  writer.U64(meta_nodes_.size());
-  for (const auto& [id, node] : meta_nodes_) {
-    writer.U32(id);
-    writer.Bool(node.online);
-    writer.Bool(node.crashed);
-    writer.U64(node.synced_epoch);
-    SaveLoadCounters(writer, node.load);
-  }
-  writer.U64(storage_nodes_.size());
-  for (const auto& [id, node] : storage_nodes_) {
-    writer.U32(id);
-    writer.Bool(node.online);
-    writer.Bool(node.crashed);
+  auto save_nodes = [&](auto nodes, auto save_fields) {
+    writer.U64(nodes.count());
+    for (const auto& [id, node] : nodes) {
+      writer.U32(id);
+      writer.Bool(node.online);
+      writer.Bool(node.crashed);
+      save_fields(node);
+      SaveLoadCounters(writer, node.load);
+    }
+  };
+  save_nodes(meta_nodes(), [&](const MetaNode& node) { writer.U64(node.synced_epoch); });
+  save_nodes(storage_nodes(), [&](const StorageNode& node) {
     writer.U64(node.bricks.size());
     for (BrickId brick : node.bricks) writer.U32(brick);
-    SaveLoadCounters(writer, node.load);
-  }
-  writer.U64(bricks_.size());
-  for (const auto& [id, brick] : bricks_) {
+  });
+  writer.U64(bricks().count());
+  for (const auto& [id, brick] : bricks()) {
     writer.U32(id);
     writer.U32(brick.node);
     writer.U64(brick.capacity_bytes);
@@ -2520,8 +2206,8 @@ void DfsCluster::SaveState(SnapshotWriter& writer) const {
     writer.Bool(brick.online);
     writer.U32(brick.linkfiles);
   }
-  writer.U64(layouts_.size());
-  for (const auto& [file, layout] : layouts_) {
+  writer.U64(file_layouts().count());
+  for (const auto& [file, layout] : file_layouts()) {
     writer.U64(file);
     writer.U64(layout.size);
     writer.U64(layout.chunks.size());
@@ -2560,18 +2246,15 @@ void DfsCluster::SaveState(SnapshotWriter& writer) const {
   // exactly like a default-constructed window (rebased at its next charge),
   // so saving it would be redundant. The quantized deltas and the group
   // aggregates are derived (recomputed from base + counters on restore).
-  uint64_t active_windows = 0;
-  for (const NodeRateWindow& window : rate_windows_) {
-    if (window.epoch == window_epoch_) {
-      ++active_windows;
+  std::vector<NodeId> active;
+  for (NodeId id = nodes_.first(); id < nodes_.size(); ++id) {
+    if (FindNode(id) != nullptr && nodes_[id].window.epoch == window_epoch_) {
+      active.push_back(id);
     }
   }
-  writer.U64(active_windows);
-  for (NodeId id = 0; id < rate_windows_.size(); ++id) {
-    const NodeRateWindow& window = rate_windows_[id];
-    if (window.epoch != window_epoch_) {
-      continue;
-    }
+  writer.U64(active.size());
+  for (NodeId id : active) {
+    const NodeRateWindow& window = nodes_[id].window;
     writer.U32(id);
     writer.F64(window.base_cpu);
     writer.U64(window.base_net);
@@ -2580,20 +2263,13 @@ void DfsCluster::SaveState(SnapshotWriter& writer) const {
   // v5: load-group assignment table (DESIGN.md §15). Real state, not derived:
   // GeoFS assigns nodes to the scheduling group with the fewest members at
   // admission time, so the mapping depends on add/remove history and cannot
-  // be recomputed from the restored topology.
-  uint64_t assigned = 0;
-  for (NodeId id = 0; id < node_load_group_.size(); ++id) {
-    if (node_load_group_[id] != kInvalidLoadGroup) {
-      ++assigned;
-    }
-  }
-  writer.U64(assigned);
-  for (NodeId id = 0; id < node_load_group_.size(); ++id) {
-    if (node_load_group_[id] == kInvalidLoadGroup) {
-      continue;
-    }
+  // be recomputed from the restored topology. Exactly the storage nodes
+  // carry one.
+  writer.U64(storage_nodes().count());
+  for (const auto& [id, node] : storage_nodes()) {
+    (void)node;
     writer.U32(id);
-    writer.U32(node_load_group_[id]);
+    writer.U32(nodes_[id].load_group);
   }
 
   SaveFlavorState(writer);
@@ -2612,38 +2288,39 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
   status = tree_.RestoreState(reader);
   if (!status.ok()) return status;
 
-  meta_nodes_.clear();
-  uint64_t meta_count = reader.Count(4 + 2 + 8 + 28);
-  for (uint64_t i = 0; i < meta_count && reader.ok(); ++i) {
-    MetaNode node;
-    node.id = reader.U32();
-    node.online = reader.Bool();
-    node.crashed = reader.Bool();
+  // Both node lists hold (id, flags, kind fields, load counters) records.
+  // One record per node id: an id listed twice (in either list) is corrupt.
+  nodes_ = {};
+  crashed_nodes_ = 0;
+  auto restore_nodes = [&](auto kind, auto restore_fields) {
+    uint64_t count = reader.Count(4 + 2 + 8 + 28);
+    for (uint64_t i = 0; i < count && reader.ok(); ++i) {
+      decltype(kind) node;
+      node.id = reader.U32();
+      node.online = reader.Bool();
+      node.crashed = reader.Bool();
+      restore_fields(node);
+      RestoreLoadCounters(reader, &node.load);
+      if (!reader.ok()) break;
+      if (node.id >= kMaxTableId || FindNode(node.id) != nullptr) {
+        reader.Fail(Sprintf("node %u out of range or listed twice", node.id));
+        break;
+      }
+      crashed_nodes_ += node.crashed ? 1 : 0;
+      nodes_.Grow(node.id).node = std::move(node);
+    }
+    return count;
+  };
+  meta_node_count_ = restore_nodes(MetaNode{}, [&](MetaNode& node) {
     node.synced_epoch = reader.U64();
-    RestoreLoadCounters(reader, &node.load);
-    meta_nodes_[node.id] = node;
-  }
-  storage_nodes_.clear();
-  storage_node_index_.clear();
-  uint64_t storage_count = reader.Count(4 + 2 + 8 + 28);
-  for (uint64_t i = 0; i < storage_count && reader.ok(); ++i) {
-    StorageNode node;
-    node.id = reader.U32();
-    node.online = reader.Bool();
-    node.crashed = reader.Bool();
+  });
+  restore_nodes(StorageNode{}, [&](StorageNode& node) {
     uint64_t brick_count = reader.Count(4);
-    node.bricks.reserve(static_cast<size_t>(brick_count));
     for (uint64_t b = 0; b < brick_count && reader.ok(); ++b) {
       node.bricks.push_back(reader.U32());
     }
-    RestoreLoadCounters(reader, &node.load);
-    StorageNode& stored = storage_nodes_[node.id];
-    stored = node;
-    IndexStorageNodePtr(node.id, &stored);
-  }
-  bricks_.clear();
-  brick_index_.clear();
-  offline_bricks_ = 0;
+  });
+  bricks_ = {};
   offline_brick_list_.clear();
   uint64_t brick_count = reader.Count(4 + 4 + 8 + 8 + 1 + 4);
   for (uint64_t i = 0; i < brick_count && reader.ok(); ++i) {
@@ -2658,19 +2335,25 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
       reader.Fail(Sprintf("brick %u on unknown storage node %u", brick.id, brick.node));
       break;
     }
+    if (reader.ok() && (brick.id >= kMaxTableId || FindBrick(brick.id) != nullptr)) {
+      reader.Fail(Sprintf("brick %u out of range or listed twice", brick.id));
+      break;
+    }
     if (!brick.online) {
-      ++offline_bricks_;
       offline_brick_list_.push_back(brick.id);
     }
-    Brick& stored = bricks_[brick.id];
-    stored = brick;
-    IndexBrickPtr(brick.id, &stored);
+    bricks_.Grow(brick.id).brick = brick;
   }
-  layouts_.clear();
-  brick_chunks_.clear();
+  layouts_ = {};
   uint64_t layout_count = reader.Count(8 + 8 + 8);
   for (uint64_t i = 0; i < layout_count && reader.ok(); ++i) {
     FileId file = reader.U64();
+    if (reader.ok() &&
+        (file >= std::min(tree_.next_file_id(), kMaxTableId) || FindLayout(file))) {
+      reader.Fail(Sprintf("layout of file %llu is unknown or listed twice",
+                          static_cast<unsigned long long>(file)));
+      break;
+    }
     FileLayout layout;
     layout.size = reader.U64();
     uint64_t chunk_count = reader.Count(8 + 8);
@@ -2681,7 +2364,7 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
       chunk.replicas.reserve(static_cast<size_t>(replica_count));
       for (uint64_t r = 0; r < replica_count && reader.ok(); ++r) {
         BrickId replica = reader.U32();
-        if (reader.ok() && bricks_.count(replica) == 0) {
+        if (reader.ok() && FindBrick(replica) == nullptr) {
           reader.Fail(Sprintf("chunk replica references unknown brick %u", replica));
         }
         chunk.replicas.push_back(replica);
@@ -2689,13 +2372,8 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
       if (!reader.ok()) break;
     }
     if (!reader.ok()) break;
-    // Rebuild the replica index as we go — it is derived, never serialized.
-    for (uint32_t c = 0; c < layout.chunks.size(); ++c) {
-      for (BrickId replica : layout.chunks[c].replicas) {
-        AddReplicaIndex(replica, file, c);
-      }
-    }
-    layouts_[file] = std::move(layout);
+    // The replica index is derived, never serialized.
+    IndexLayout(file, LayoutFor(file) = std::move(layout));
   }
   recent_classes_.clear();
   class_counts_[0] = class_counts_[1] = class_counts_[2] = class_counts_[3] = 0;
@@ -2741,8 +2419,8 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
   uint64_t serving_meta_count = reader.Count(4);
   for (uint64_t i = 0; i < serving_meta_count && reader.ok(); ++i) {
     NodeId id = reader.U32();
-    if (reader.ok() && meta_nodes_.count(id) == 0) {
-      reader.Fail(Sprintf("serving meta node %u is not in the node map", id));
+    if (reader.ok() && FindMetaNode(id) == nullptr) {
+      reader.Fail(Sprintf("serving meta node %u is not a metadata node", id));
       break;
     }
     serving_meta_nodes_.push_back(id);
@@ -2753,7 +2431,6 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
   // cumulative counters, and the aggregates are rebuilt with the rest of the
   // load index — so the streaming state resumes bit-exactly (fixed-point
   // sums are order-independent).
-  rate_windows_.clear();
   window_epoch_ = 1;
   uint64_t window_count = reader.Count(4 + 8 + 8);
   for (uint64_t i = 0; i < window_count && reader.ok(); ++i) {
@@ -2761,39 +2438,30 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
     double base_cpu = reader.F64();
     uint64_t base_net = reader.U64();
     if (!reader.ok()) break;
-    const NodeLoadCounters* load = nullptr;
-    if (const StorageNode* sn = FindStorageNode(id)) {
-      load = &sn->load;
-    } else if (auto node_it = meta_nodes_.find(id); node_it != meta_nodes_.end()) {
-      load = &node_it->second.load;
-    }
-    if (load == nullptr) {
+    const NodeBase* node = FindNode(id);
+    if (node == nullptr) {
       reader.Fail(Sprintf("rate window references unknown node %u", id));
       break;
     }
-    uint64_t net_total = load->requests + load->read_ios + load->write_ios;
+    const NodeLoadCounters& load = node->load;
+    uint64_t net_total = load.requests + load.read_ios + load.write_ios;
     if (base_net > net_total) {
       reader.Fail(Sprintf("rate window base exceeds counters for node %u", id));
       break;
     }
-    if (rate_windows_.size() <= id) {
-      rate_windows_.resize(id + 1);
-    }
-    NodeRateWindow& window = rate_windows_[id];
-    window.epoch = window_epoch_;
-    window.base_cpu = base_cpu;
-    window.last_cpu = load->cpu_seconds;
-    window.base_net = base_net;
-    window.cpu_ticks =
-        QuantizeLoadDelta(load->cpu_seconds - base_cpu, kCpuLoadQuantum);
-    window.net_delta = net_total - base_net;
+    nodes_[id].window = NodeRateWindow{
+        .epoch = window_epoch_,
+        .base_cpu = base_cpu,
+        .last_cpu = load.cpu_seconds,
+        .base_net = base_net,
+        .cpu_ticks = QuantizeLoadDelta(load.cpu_seconds - base_cpu, kCpuLoadQuantum),
+        .net_delta = net_total - base_net};
   }
   if (!reader.ok()) return reader.status();
 
   // v5: load-group assignment table. Validated strictly — every storage node
   // must carry exactly one assignment, and group indices are bounded (a
   // corrupt group id would silently mis-route nodes and skew the rollup).
-  node_load_group_.clear();
   load_groups_.clear();
   uint64_t group_entries = reader.Count(4 + 4);
   for (uint64_t i = 0; i < group_entries && reader.ok(); ++i) {
@@ -2808,37 +2476,21 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
       reader.Fail(Sprintf("load group %u for node %u out of range", group, id));
       break;
     }
-    if (node_load_group_.size() <= id) {
-      node_load_group_.resize(id + 1, kInvalidLoadGroup);
-    }
-    if (node_load_group_[id] != kInvalidLoadGroup) {
+    if (nodes_[id].load_group != kInvalidLoadGroup) {
       reader.Fail(Sprintf("duplicate load group assignment for node %u", id));
       break;
     }
-    node_load_group_[id] = group;
+    nodes_[id].load_group = group;
     if (group >= load_groups_.size()) {
       load_groups_.resize(group + 1);
     }
   }
-  if (reader.ok()) {
-    for (const auto& [id, node] : storage_nodes_) {
-      (void)node;
-      if (LoadGroupOf(id) == kInvalidLoadGroup) {
-        reader.Fail(Sprintf("storage node %u missing load group assignment", id));
-        break;
-      }
+  for (const auto& [id, node] : storage_nodes()) {
+    if (reader.ok() && nodes_[id].load_group == kInvalidLoadGroup) {
+      reader.Fail(Sprintf("storage node %u missing load group assignment", id));
     }
   }
   if (!reader.ok()) return reader.status();
-  crashed_nodes_ = 0;
-  for (const auto& [id, node] : storage_nodes_) {
-    (void)id;
-    if (node.crashed) ++crashed_nodes_;
-  }
-  for (const auto& [id, node] : meta_nodes_) {
-    (void)id;
-    if (node.crashed) ++crashed_nodes_;
-  }
 
   clock_.Reset();
   clock_.Advance(now);

@@ -15,11 +15,11 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
-#include <set>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -30,6 +30,7 @@
 #include "src/coverage/coverage.h"
 #include "src/coverage/model_coverage.h"
 #include "src/dfs/brick.h"
+#include "src/dfs/id_table.h"
 #include "src/dfs/load_sample.h"
 #include "src/dfs/migration.h"
 #include "src/dfs/namespace_tree.h"
@@ -271,7 +272,7 @@ struct ClusterConfig {
 class DfsCluster : public DfsInterface {
  public:
   DfsCluster(ClusterConfig config, Flavor flavor, std::string cluster_name);
-  ~DfsCluster() override;
+  ~DfsCluster() override = default;
 
   DfsCluster(const DfsCluster&) = delete;
   DfsCluster& operator=(const DfsCluster&) = delete;
@@ -288,9 +289,9 @@ class DfsCluster : public DfsInterface {
     return !rebalance_active_ && move_queue_.empty() && !balancer_crashed_ &&
            !balancer_resume_pending_;
   }
-  std::vector<NodeId> ListMetaNodes() const override;
-  std::vector<NodeId> ListStorageNodes() const override;
-  std::vector<BrickId> ListBricks() const override;
+  std::vector<NodeId> ListMetaNodes() const override { return serving_meta_nodes_; }
+  std::vector<NodeId> ListStorageNodes() const override { return serving_storage_nodes_; }
+  std::vector<BrickId> ListBricks() const override { return serving_bricks_; }
   uint64_t FreeSpaceBytes() const override;
   uint64_t MembershipEpoch() const override { return membership_epoch_; }
   SimTime Now() const override { return clock_.now(); }
@@ -319,34 +320,52 @@ class DfsCluster : public DfsInterface {
   // ---- introspection (flavors, faults, tests, ground truth) ----
   const ClusterConfig& config() const { return config_; }
   const NamespaceTree& tree() const { return tree_; }
-  const std::map<BrickId, Brick>& bricks() const { return bricks_; }
-  const std::map<NodeId, StorageNode>& storage_nodes() const { return storage_nodes_; }
-  const std::map<NodeId, MetaNode>& meta_nodes() const { return meta_nodes_; }
-  const std::map<FileId, FileLayout>& file_layouts() const { return layouts_; }
+  // Ascending-id views of the topology and the file layouts. Removed
+  // storage and metadata nodes stay listed (offline tombstones); GC'd
+  // bricks and deleted files do not.
+  auto bricks() const {
+    return IdRange<BrickId, BrickSlot, &BrickSlot::Get<const BrickSlot>>(bricks_);
+  }
+  auto storage_nodes() const {
+    return IdRange<NodeId, NodeRecord, &NodeRecord::Storage<const NodeRecord>>(nodes_);
+  }
+  auto meta_nodes() const {
+    return IdRange<NodeId, NodeRecord, &NodeRecord::Meta<const NodeRecord>>(nodes_);
+  }
+  auto file_layouts() const { return IdRange<FileId, LayoutSlot, &LayoutOf>(layouts_); }
 
-  // O(1): ids are small and monotonic, so a flat pointer vector shadows the
-  // owning maps (map nodes have stable addresses; erased slots hold null).
-  // These sit on the placement/migration hot path at millions of calls per
-  // campaign — keep them inline.
-  Brick* FindBrick(BrickId id) {
-    return id < brick_index_.size() ? brick_index_[id] : nullptr;
-  }
-  const Brick* FindBrick(BrickId id) const {
-    return id < brick_index_.size() ? brick_index_[id] : nullptr;
-  }
-  StorageNode* FindStorageNode(NodeId id) {
-    return id < storage_node_index_.size() ? storage_node_index_[id] : nullptr;
-  }
+  // O(1) lookups into the dense tables; null when the id names nothing of
+  // that kind. These sit on the placement/migration hot path at millions of
+  // calls per campaign — keep them inline.
+  Brick* FindBrick(BrickId id) { return BrickSlot::Get(bricks_.Find(id)); }
+  const Brick* FindBrick(BrickId id) const { return BrickSlot::Get(bricks_.Find(id)); }
+  StorageNode* FindStorageNode(NodeId id) { return NodeRecord::Storage(nodes_.Find(id)); }
   const StorageNode* FindStorageNode(NodeId id) const {
-    return id < storage_node_index_.size() ? storage_node_index_[id] : nullptr;
+    return NodeRecord::Storage(nodes_.Find(id));
+  }
+  MetaNode* FindMetaNode(NodeId id) { return NodeRecord::Meta(nodes_.Find(id)); }
+  const MetaNode* FindMetaNode(NodeId id) const { return NodeRecord::Meta(nodes_.Find(id)); }
+  NodeBase* FindNode(NodeId id) {  // either kind
+    return const_cast<NodeBase*>(std::as_const(*this).FindNode(id));
+  }
+  const NodeBase* FindNode(NodeId id) const { return NodeRecord::Base(nodes_.Find(id)); }
+  const FileLayout* FindLayout(FileId file) const { return LayoutOf(layouts_.Find(file)); }
+  // Chunk `index` of `file`; null when the file or the chunk is gone.
+  ChunkPlacement* FindChunk(FileId file, uint32_t index) {
+    return const_cast<ChunkPlacement*>(std::as_const(*this).FindChunk(file, index));
+  }
+  const ChunkPlacement* FindChunk(FileId file, uint32_t index) const {
+    const FileLayout* layout = FindLayout(file);
+    return layout != nullptr && index < layout->chunks.size() ? &layout->chunks[index]
+                                                              : nullptr;
   }
 
   // Serving (online, not crashed, not draining) bricks. The returned
   // reference points at the maintained load index and stays valid until the
   // next membership mutation (brick/node add/remove/crash/restart); copy it
   // before mutating topology mid-iteration.
-  const std::vector<BrickId>& ServingBricks() const;
-  const std::vector<NodeId>& ServingStorageNodeIds() const;
+  const std::vector<BrickId>& ServingBricks() const { return serving_bricks_; }
+  const std::vector<NodeId>& ServingStorageNodeIds() const { return serving_storage_nodes_; }
 
   // The hottest serving brick (max UsedFraction, smallest brick id on ties)
   // — the fault injector's hotspot probe. Answered from per-group maxima
@@ -361,11 +380,11 @@ class DfsCluster : public DfsInterface {
   // kInvalidNode when nothing serves.
   NodeId LeastCapacityServingNode() const;
 
-  uint64_t TotalCapacityBytes() const override;
-  uint64_t TotalUsedBytes() const;
+  uint64_t TotalCapacityBytes() const override { return fleet_cap_; }
+  uint64_t TotalUsedBytes() const { return total_used_all_; }
   // Used bytes summed over serving bricks only (the balancers' view of fleet
   // utilization); TotalUsedBytes also counts draining/offline bricks.
-  uint64_t TotalServingUsedBytes() const;
+  uint64_t TotalServingUsedBytes() const { return fleet_used_; }
   // Used bytes aggregated per serving storage node.
   std::vector<double> PerNodeUsedBytes() const;
   // Disk utilization (used/capacity) per serving storage node — the metric
@@ -408,9 +427,13 @@ class DfsCluster : public DfsInterface {
   void CrashNode(NodeId node);
   // Moves `bytes` of stored data from `from` to `to` without a migration
   // round — models mis-placed / mis-migrated data accumulating on a hotspot.
-  uint64_t SkewBytes(BrickId from, BrickId to, uint64_t bytes);
+  uint64_t SkewBytes(BrickId from, BrickId to, uint64_t bytes) {
+    return FindBrick(to) == nullptr || from == to ? 0 : TakeReplicas(from, to, bytes);
+  }
   // Destroys `bytes` of stored data on `brick` (data-loss effects).
-  uint64_t DestroyBytes(BrickId brick, uint64_t bytes);
+  uint64_t DestroyBytes(BrickId brick, uint64_t bytes) {
+    return TakeReplicas(brick, kInvalidBrick, bytes);
+  }
   // Deletes one replica without copying it anywhere (destructive unlink).
   void DestroyChunkReplica(FileId file, uint32_t chunk_index, BrickId brick);
 
@@ -433,7 +456,7 @@ class DfsCluster : public DfsInterface {
 
   // ---- checkpointing (DESIGN.md §11) ----
   // Serializes the full mutable simulator state: clock, RNG, namespace,
-  // topology maps, layouts, migration queue, balancer/rebalance counters and
+  // topology tables, layouts, migration queue, balancer/rebalance counters and
   // the flavor's own state (via SaveFlavorState). Derived indexes (replica
   // index, load aggregates, class-window counters) are rebuilt on restore,
   // never serialized. Restore must be called on a freshly constructed
@@ -567,7 +590,7 @@ class DfsCluster : public DfsInterface {
   // Load group of a storage node (kInvalidLoadGroup before assignment).
   static constexpr uint32_t kInvalidLoadGroup = 0xffffffffu;
   uint32_t LoadGroupOf(NodeId id) const {
-    return id < node_load_group_.size() ? node_load_group_[id] : kInvalidLoadGroup;
+    return nodes_.Find(id) != nullptr ? nodes_[id].load_group : kInvalidLoadGroup;
   }
   // Fresh (used, capacity) bytes over one load group's serving nodes.
   // Refreshes only that group's sub-aggregate if it is dirty — O(group
@@ -581,7 +604,8 @@ class DfsCluster : public DfsInterface {
   ClusterConfig config_;
 
  private:
-  // Operation handlers.
+  // Operation handlers; ExecuteRequest dispatches a client request to one.
+  OpResult ExecuteRequest(const Operation& op);
   OpResult DoCreate(const Operation& op);
   OpResult DoDelete(const Operation& op);
   OpResult DoAppend(const Operation& op);
@@ -599,23 +623,30 @@ class DfsCluster : public DfsInterface {
   OpResult DoExpandVolume(const Operation& op);
   OpResult DoReduceVolume(const Operation& op);
 
+  // Takes up to `bytes` of chunk replicas off `from` in replica-index order;
+  // each moves to `to` (if it has room and no replica yet), or is destroyed
+  // when `to` is kInvalidBrick. Backs SkewBytes and DestroyBytes.
+  uint64_t TakeReplicas(BrickId from, BrickId to, uint64_t bytes);
   // Places all chunks for `size` bytes of `path`; rolls back on failure.
   Result<FileLayout> PlaceFile(const std::string& path, uint64_t size);
   // Frees brick bytes and replica-index entries held by `layout`.
   void ReleaseLayout(FileId file, const FileLayout& layout);
+  void EraseLayout(FileId file);  // ReleaseLayout, then drop the layout
   void IndexLayout(FileId file, const FileLayout& layout);
   void ChargeLayoutIo(const FileLayout& layout, bool is_write);
 
+  // FreeSpaceBytes without `brick`'s share (what remains if it leaves).
+  uint64_t FreeSpaceWithout(const Brick& brick) const;
   // Routes the request to a serving metadata node; returns kInvalidNode if
   // none are alive.
   NodeId RouteToMetaNode(const Operation& op);
 
-  // Re-replicates chunks that lost replicas on `node` (offline/removed).
-  void ScheduleRecovery(NodeId node);
-  // Evacuates all data from a draining brick.
-  void ScheduleEvacuation(BrickId brick);
-  // Evacuates `bytes` worth of chunks off a shrunken brick.
-  void ScheduleOverflowEvacuation(BrickId brick, uint64_t bytes);
+  // Queues a move for each chunk replica on `brick`, in replica-index
+  // order, to the target PickRecoveryTarget picks, until `limit` bytes are
+  // scheduled. Recovery re-replicates a removed node's bricks, evacuation
+  // drains a removed brick or the overflow of a shrunken one. Runs inside
+  // the caller's BeginRecoveryPass.
+  void ScheduleMoves(BrickId brick, MoveReason reason, uint64_t limit = UINT64_MAX);
 
   // Background migration: processes `dt` worth of queued chunk moves.
   void AdvanceBackground(SimDuration dt);
@@ -626,14 +657,14 @@ class DfsCluster : public DfsInterface {
   void RemoveReplicaIndex(BrickId brick, FileId file, uint32_t chunk);
 
   // Candidate snapshot for recovery/evacuation target picking: the serving
-  // bricks keyed by (utilization, serving order), built once per Schedule*
-  // call. Each per-chunk pick consumes only an ascending prefix, so the
-  // snapshot is a min-heap popped lazily — O(bricks) to build plus
-  // O(log bricks) per candidate actually inspected, never a full sort.
+  // bricks keyed by (utilization, serving order), taken once per pass. Each
+  // per-chunk pick consumes only an ascending prefix, so the snapshot is a
+  // min-heap popped lazily — O(bricks) to build plus O(log bricks) per
+  // candidate actually inspected, never a full sort.
   struct RecoveryCandidate {
     double used_fraction;
     uint32_t order;  // index in ServingBricks() — the first-wins tie-break
-    const Brick* brick;  // map nodes stay put for the whole pass
+    const Brick* brick;
   };
   // Heap comparator: true when `a` sorts after `b`. The (fraction, order)
   // key is a unique total order, so lazy heap pops replay exactly the fully
@@ -666,9 +697,10 @@ class DfsCluster : public DfsInterface {
   // Empties every derived aggregate (topology reset, and the head of
   // RebuildLoadIndex).
   void ResetLoadIndex();
-  // Rebuilds every aggregate from the ground-truth brick/node maps. Only
-  // RestoreState calls it: the maps hold every node ever created, so a
-  // rebuild is O(all nodes ever) and never runs in steady state.
+  // Rebuilds every aggregate from the ground-truth node and brick tables.
+  // Only RestoreState calls it: the node table holds every node ever
+  // created, so a rebuild is O(all nodes ever) and never runs in steady
+  // state.
   void RebuildLoadIndex();
   // The one funnel for brick byte and capacity changes: sets both and
   // applies the deltas to the node, group and fleet sums.
@@ -679,12 +711,11 @@ class DfsCluster : public DfsInterface {
   // Moves one online brick of a serving node into or out of the fleet sums
   // and ServingBricks().
   void SetBrickInFleet(const Brick& brick, bool in);
-  // Moves a storage node into or out of the serving set (admission, crash,
-  // restart, decommission). Its online bricks join or leave the fleet but
-  // stay in its per-node sums (SampleLoad reports crashed nodes' bricks).
-  void SetStorageNodeServing(NodeId id, bool serving);
-  // Same for a metadata node: the serving list and the meta rate sums.
-  void SetMetaNodeServing(NodeId id, bool serving);
+  // Moves a node into or out of its kind's serving list and rate sums
+  // (admission, crash, restart, decommission); a no-op when it is already
+  // there. A storage node's online bricks join or leave the fleet but stay
+  // in its per-node sums (SampleLoad reports crashed nodes' bricks).
+  void SetNodeServing(NodeId id, bool serving);
   // Charges cumulative load counters to a storage or metadata node and
   // pushes the new rate-window deltas into the streaming aggregates.
   void ChargeNode(NodeId node, uint64_t requests, uint64_t reads, uint64_t writes,
@@ -700,31 +731,82 @@ class DfsCluster : public DfsInterface {
   VirtualClock clock_;
   Rng rng_;
 
-  // Flat id -> map-node side indexes behind the inline Find* accessors.
-  void IndexBrickPtr(BrickId id, Brick* brick) {
-    if (brick_index_.size() <= id) {
-      brick_index_.resize(id + 1, nullptr);
+  // ---- topology tables ----
+  // Node, brick and file ids are small and never reused within a table's
+  // lifetime, so each record lives in slot `id` of an IdTable (slot 0 and
+  // ids retired by a reset stay vacant). Storage and metadata nodes share
+  // one id space and one table.
+
+  // Per-node load sums of the load index (DESIGN.md §10).
+  struct NodeLoadAgg {
+    uint64_t used_online = 0;  // bytes on this node's online bricks
+    uint64_t cap_online = 0;   // capacity of this node's online bricks
+    uint64_t used_all = 0;     // bytes on all of this node's bricks
+    uint64_t cap_all = 0;      // capacity of all of this node's bricks
+    bool serving = false;      // in its kind's serving list
+  };
+  // Windowed rate tracking of the cumulative compute/network counters
+  // (DESIGN.md §13): the counters at the start of the current window and the
+  // quantized deltas since. Bumping window_epoch_ invalidates every base in
+  // O(1) and a node's first charge in the new window rebases it, so closing
+  // a window never scans the fleet. Deltas are fixed-point integers
+  // (src/common/stats.h), so the maintained sums are bit-identical to the
+  // full-scan oracle's.
+  struct NodeRateWindow {
+    uint64_t epoch = 0;      // window_epoch_ the base belongs to
+    double base_cpu = 0.0;   // cumulative cpu_seconds at window start
+    double last_cpu = 0.0;   // cumulative cpu_seconds at last commit
+    uint64_t base_net = 0;   // cumulative requests+read_ios+write_ios
+    uint64_t cpu_ticks = 0;  // current window delta, quantized
+    uint64_t net_delta = 0;  // current window delta
+  };
+  // One record per node id: the node itself and its load-index state.
+  struct NodeRecord {
+    std::variant<std::monostate, StorageNode, MetaNode> node;  // monostate: vacant
+    NodeLoadAgg agg;
+    NodeRateWindow window;
+    uint32_t load_group = kInvalidLoadGroup;  // storage nodes; see AssignLoadGroup
+
+    // The node `r` holds (R: NodeRecord or const NodeRecord); null when `r`
+    // is null or holds no node of that kind. Base accepts either kind.
+    template <typename R>
+    static auto Storage(R* r) -> decltype(std::get_if<StorageNode>(&r->node)) {
+      return r != nullptr ? std::get_if<StorageNode>(&r->node) : nullptr;
     }
-    brick_index_[id] = brick;
-  }
-  void IndexStorageNodePtr(NodeId id, StorageNode* node) {
-    if (storage_node_index_.size() <= id) {
-      storage_node_index_.resize(id + 1, nullptr);
+    template <typename R>
+    static auto Meta(R* r) -> decltype(std::get_if<MetaNode>(&r->node)) {
+      return r != nullptr ? std::get_if<MetaNode>(&r->node) : nullptr;
     }
-    storage_node_index_[id] = node;
+    static const NodeBase* Base(const NodeRecord* r) {
+      if (const StorageNode* sn = Storage(r)) return sn;
+      return Meta(r);
+    }
+  };
+  struct BrickSlot {
+    Brick brick;  // vacant while brick.id is kInvalidBrick
+    // Replica index: the chunks with a replica on this brick, sorted by
+    // (file, chunk) so scans run in a stable order over contiguous memory.
+    std::vector<std::pair<FileId, uint32_t>> chunks;
+
+    template <typename S>  // BrickSlot or const BrickSlot
+    static auto Get(S* s) -> decltype(&s->brick) {
+      return s != nullptr && s->brick.id != kInvalidBrick ? &s->brick : nullptr;
+    }
+  };
+  using LayoutSlot = std::optional<FileLayout>;
+  static const FileLayout* LayoutOf(const LayoutSlot* slot) {
+    return slot != nullptr && slot->has_value() ? &**slot : nullptr;
   }
+  void AddMetaNodeInternal();
+  // `file`'s layout, created empty when missing.
+  FileLayout& LayoutFor(FileId file);
 
   NamespaceTree tree_;
-  std::map<NodeId, StorageNode> storage_nodes_;
-  std::map<NodeId, MetaNode> meta_nodes_;
-  std::map<BrickId, Brick> bricks_;
-  std::vector<Brick*> brick_index_;              // shadows bricks_
-  std::vector<StorageNode*> storage_node_index_;  // shadows storage_nodes_
-  std::map<FileId, FileLayout> layouts_;
-  // Reverse index: brick -> chunks with a replica there.
-  // Sorted by (file, chunk): flat vectors iterate in std::set order but keep
-  // the hot SkewBytes/Schedule* scans contiguous in memory.
-  std::map<BrickId, std::vector<std::pair<FileId, uint32_t>>> brick_chunks_;
+  IdTable<NodeRecord> nodes_;
+  IdTable<BrickSlot> bricks_;
+  IdTable<LayoutSlot> layouts_;
+  // Metadata nodes ever added, decommissioned ones included.
+  uint64_t meta_node_count_ = 0;
   // Classes of the last 8 operations (coverage feature).
   std::deque<uint8_t> recent_classes_;
 
@@ -759,19 +841,8 @@ class DfsCluster : public DfsInterface {
   // Integer running sums; every derived double (utilization fractions, the
   // imbalance spread) divides the same integers a from-scratch walk would
   // sum, so cached reads are bit-identical to recomputation.
-  struct NodeLoadAgg {
-    uint64_t used_online = 0;  // bytes on this node's online bricks
-    uint64_t cap_online = 0;   // capacity of this node's online bricks
-    uint64_t used_all = 0;     // bytes on all of this node's bricks
-    uint64_t cap_all = 0;      // capacity of all of this node's bricks
-    bool serving = false;      // node online && !crashed
-  };
   std::vector<BrickId> serving_bricks_;        // sorted by id
   std::vector<NodeId> serving_storage_nodes_;  // sorted by id
-  // Dense by NodeId (ids are monotonic and shared with meta nodes; slots
-  // that never belonged to a storage node stay default and are never read —
-  // every lookup comes from a brick's owner or a serving list).
-  std::vector<NodeLoadAgg> node_agg_;
   uint64_t fleet_used_ = 0;      // over serving bricks
   uint64_t fleet_cap_ = 0;       // over serving bricks
   uint64_t fleet_overflow_ = 0;  // sum of max(0, used-cap), serving
@@ -830,11 +901,11 @@ class DfsCluster : public DfsInterface {
     GroupHotBrick hot;
     bool hot_dirty = false;
   };
-  // Group assignment: real state, written once per node by PickLoadGroup and
-  // persisted (snapshot v5) — GeoFS's assignment is history-dependent. The
-  // group table is sized to the highest assigned group + 1.
-  std::vector<uint32_t> node_load_group_;  // dense by NodeId
-  void AssignLoadGroup(NodeId id);         // records PickLoadGroup(id)
+  // Group assignment (NodeRecord::load_group): real state, written once per
+  // node by PickLoadGroup and persisted (snapshot v5) — GeoFS's assignment
+  // is history-dependent. The group table is sized to the highest assigned
+  // group + 1.
+  void AssignLoadGroup(NodeId id);  // records PickLoadGroup(id)
   mutable std::vector<LoadGroup> load_groups_;
   mutable std::vector<uint32_t> dirty_groups_;      // queue of frac_dirty ids
   mutable std::vector<uint32_t> hot_dirty_groups_;  // queue of hot_dirty ids
@@ -846,15 +917,13 @@ class DfsCluster : public DfsInterface {
   void RefreshGroupHotBrick(uint32_t group) const;
   // Serving metadata nodes, maintained at the (rare) membership changes so
   // per-op request routing / anti-entropy need not scan the ever-growing
-  // meta_nodes_ map (removed nodes stay in it as tombstones).
+  // node table (removed nodes stay in it as tombstones).
   std::vector<NodeId> serving_meta_nodes_;
-  // Online-flag bookkeeping so the per-op drained-brick GC can skip its
-  // whole-map scan when nothing is offline (the common case).
-  int offline_bricks_ = 0;
-  // The offline bricks themselves, so a long-lived drain (stuck evacuation,
-  // under-replicated fleet) sweeps only its own bricks each op instead of
-  // the whole ever-growing brick map. Entries leave when the GC collects or
-  // skips-as-stale them.
+  // The offline bricks, so the per-op drained-brick GC skips its sweep when
+  // nothing is offline (the common case), and a long-lived drain (stuck
+  // evacuation, under-replicated fleet) sweeps only its own bricks each op
+  // instead of the whole ever-growing brick table. Entries leave when the GC
+  // collects them.
   std::vector<BrickId> offline_brick_list_;
   // Bumped whenever the admin list views (serving meta/storage/brick lists)
   // may change membership; see DfsInterface::MembershipEpoch().
@@ -862,13 +931,10 @@ class DfsCluster : public DfsInterface {
   // Scratch for NormalizedOpPath (valid until the next call).
   std::string norm_scratch_;
   // Recovery-pass candidate stream: `recovery_sorted_` is the ascending
-  // prefix popped so far, `recovery_heap_` a min-heap of the rest. The
-  // snapshot itself is deferred to the first candidate request, so a pass
-  // that schedules nothing (no chunks on the drained bricks) costs nothing.
+  // prefix popped so far, `recovery_heap_` a min-heap of the rest; both
+  // empty until the pass's first candidate request.
   mutable std::vector<RecoveryCandidate> recovery_sorted_;
   mutable std::vector<RecoveryCandidate> recovery_heap_;
-  mutable bool recovery_pass_built_ = true;
-  void BuildRecoveryPassNow() const;
   // Scratch for PickRecoveryTarget's per-chunk replica-node set.
   mutable std::vector<NodeId> replica_nodes_scratch_;
   // Running view of the last-8-op class window (coverage feature); one slot
@@ -877,22 +943,6 @@ class DfsCluster : public DfsInterface {
   uint8_t recent_class_mask_ = 0;
 
   // ---- streaming load-stats state (DESIGN.md §13) ----
-  // Windowed rate tracking for the cumulative compute/network counters: per
-  // node, the counter values at the start of the current rate window and the
-  // quantized deltas accumulated since. Bases are captured lazily — bumping
-  // window_epoch_ invalidates every base in O(1), and the first charge of a
-  // node in the new window rebases it — so closing a window never scans the
-  // fleet. Deltas are fixed-point integers (src/common/stats.h) so the
-  // incrementally maintained sums below are bit-identical to the full-scan
-  // oracle's.
-  struct NodeRateWindow {
-    uint64_t epoch = 0;      // window_epoch_ the base belongs to
-    double base_cpu = 0.0;   // cumulative cpu_seconds at window start
-    double last_cpu = 0.0;   // cumulative cpu_seconds at last commit
-    uint64_t base_net = 0;   // cumulative requests+read_ios+write_ios
-    uint64_t cpu_ticks = 0;  // current window delta, quantized
-    uint64_t net_delta = 0;  // current window delta
-  };
   // Per (node kind × dimension) window aggregate over the serving nodes.
   // Within a window a node's delta only grows (the counters are cumulative),
   // so the max is a plain monotone high-water mark — no ordered index, no
@@ -910,21 +960,21 @@ class DfsCluster : public DfsInterface {
       max_delta = std::max(max_delta, to);
     }
   };
+  struct RateAggs {
+    RateDimAgg cpu_storage, cpu_meta, net_storage, net_meta;
+  };
   RateDimAgg& RateAgg(bool is_storage, bool cpu_dim) {
-    return is_storage ? (cpu_dim ? cpu_storage_agg_ : net_storage_agg_)
-                      : (cpu_dim ? cpu_meta_agg_ : net_meta_agg_);
+    RateAggs& r = rate_aggs_;
+    return is_storage ? (cpu_dim ? r.cpu_storage : r.net_storage)
+                      : (cpu_dim ? r.cpu_meta : r.net_meta);
   }
   uint64_t WindowDelta(NodeId id, bool cpu_dim) const;
   // Adds or removes a node's current window deltas; the caller has already
   // updated the serving list a departing maximum is rescanned over.
   void SetNodeInRateAggs(NodeId id, bool is_storage, bool in);
 
-  std::vector<NodeRateWindow> rate_windows_;  // dense by NodeId
   uint64_t window_epoch_ = 1;
-  RateDimAgg cpu_storage_agg_;
-  RateDimAgg cpu_meta_agg_;
-  RateDimAgg net_storage_agg_;
-  RateDimAgg net_meta_agg_;
+  RateAggs rate_aggs_;
   // Count of nodes with crashed=true: the O(1) source of the snapshot's
   // any_crashed flag. Decremented only by RestartNode (env faults) and the
   // topology reset; fault-effect crashes (CrashNode) are permanent.

@@ -280,12 +280,11 @@ MigrationPlan GeoLikeCluster::BuildRebalancePlan() {
             plan.size() >= kMaxSiteMovesPerRound) {
           break;
         }
-        auto layout_it = file_layouts().find(file);
-        if (layout_it == file_layouts().end() ||
-            chunk_index >= layout_it->second.chunks.size()) {
+        const ChunkPlacement* found = FindChunk(file, chunk_index);
+        if (found == nullptr) {
           continue;
         }
-        const ChunkPlacement& chunk = layout_it->second.chunks[chunk_index];
+        const ChunkPlacement& chunk = *found;
         // Advance past receivers without room for this chunk.
         BrickId to = kInvalidBrick;
         while (recv_idx < receivers.size()) {

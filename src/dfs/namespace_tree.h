@@ -84,6 +84,8 @@ class NamespaceTree {
   PathId ResolveOpPath2(const Operation& op);
 
   size_t file_count() const { return file_count_; }
+  // Every FileId issued since the last Clear() is below this.
+  FileId next_file_id() const { return next_file_id_; }
   size_t dir_count() const { return dir_count_; }
   uint64_t total_bytes() const { return total_bytes_; }
 

@@ -23,26 +23,24 @@ struct NodeLoadCounters {
   void Reset() { *this = NodeLoadCounters{}; }
 };
 
-struct StorageNode {
+// State every node carries, whatever its role.
+struct NodeBase {
   NodeId id = kInvalidNode;
   bool online = true;
-  bool crashed = false;  // a crash fault tripped; node is dead until reset
-  std::vector<BrickId> bricks;
+  bool crashed = false;  // a crash fault tripped; dead until restart or reset
   NodeLoadCounters load;
 
   bool Serving() const { return online && !crashed; }
 };
 
-struct MetaNode {
-  NodeId id = kInvalidNode;
-  bool online = true;
-  bool crashed = false;
+struct StorageNode : NodeBase {
+  std::vector<BrickId> bricks;
+};
+
+struct MetaNode : NodeBase {
   // Metadata replication state: how far this node's namespace view has
   // caught up with the authoritative epoch (see DfsCluster::namespace_epoch).
   uint64_t synced_epoch = 0;
-  NodeLoadCounters load;
-
-  bool Serving() const { return online && !crashed; }
 };
 
 }  // namespace themis

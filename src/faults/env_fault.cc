@@ -43,18 +43,13 @@ OpResult EnvFaultInjector::ExecuteEnvOp(DfsCluster& dfs, const Operation& op) {
       break;
     }
     case OpKind::kEnvCrashNode: {
-      bool crashed = false;
-      if (const StorageNode* sn = dfs.FindStorageNode(op.node)) {
-        crashed = sn->crashed;
-      } else if (auto it = dfs.meta_nodes().find(op.node);
-                 it != dfs.meta_nodes().end()) {
-        crashed = it->second.crashed;
-      } else {
+      const NodeBase* node = dfs.FindNode(op.node);
+      if (node == nullptr) {
         result.status =
             Status::NotFound(Sprintf("node %u does not exist", op.node));
         return result;
       }
-      if (crashed) {
+      if (node->crashed) {
         result.status = Status::FailedPrecondition(
             Sprintf("node %u is already down", op.node));
         return result;

@@ -100,11 +100,9 @@ bool FaultInjector::TouchesHottestBrick(const DfsCluster& dfs, const Operation& 
   if (hottest == kInvalidBrick) {
     return false;
   }
-  auto layout_it = dfs.file_layouts().find(*file);
-  if (layout_it == dfs.file_layouts().end() || layout_it->second.chunks.empty()) {
-    return false;
-  }
-  return layout_it->second.chunks.back().HasReplicaOn(hottest);
+  const FileLayout* layout = dfs.FindLayout(*file);
+  return layout != nullptr && !layout->chunks.empty() &&
+         layout->chunks.back().HasReplicaOn(hottest);
 }
 
 double FaultInjector::Steadiness() const {
@@ -411,13 +409,9 @@ FaultHooks::MigrateVerdict FaultInjector::OnMigrateChunk(DfsCluster& dfs,
     if (fault.spec.effect == EffectKind::kLinkfileUnlink && move.is_linkfile) {
       // Fig. 11: the linkfile shares the datafile's hashed id, so the unlink
       // destroys the *data* that was just migrated.
-      auto layout_it = dfs.file_layouts().find(move.file);
-      if (layout_it != dfs.file_layouts().end() &&
-          move.chunk_index < layout_it->second.chunks.size()) {
-        const ChunkPlacement& chunk = layout_it->second.chunks[move.chunk_index];
-        if (!chunk.replicas.empty()) {
-          dfs.DestroyChunkReplica(move.file, move.chunk_index, chunk.replicas.front());
-        }
+      const ChunkPlacement* chunk = dfs.FindChunk(move.file, move.chunk_index);
+      if (chunk != nullptr && !chunk->replicas.empty()) {
+        dfs.DestroyChunkReplica(move.file, move.chunk_index, chunk->replicas.front());
       }
       return MigrateVerdict::kSkip;
     }

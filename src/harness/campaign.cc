@@ -80,24 +80,6 @@ uint64_t CampaignResult::Digest() const {
   return h;
 }
 
-const char* StrategyKindName(StrategyKind kind) {
-  switch (kind) {
-    case StrategyKind::kThemis:
-      return "Themis";
-    case StrategyKind::kThemisMinus:
-      return "Themis-";
-    case StrategyKind::kFixReq:
-      return "Fix_req";
-    case StrategyKind::kFixConf:
-      return "Fix_conf";
-    case StrategyKind::kAlternate:
-      return "Alternate";
-    case StrategyKind::kConcurrent:
-      return "Concurrent";
-  }
-  return "?";
-}
-
 Status CampaignConfig::Validate() const {
   if (budget <= 0) {
     return Status::InvalidArgument("campaign budget must be positive");
@@ -494,11 +476,6 @@ Result<CampaignResult> RunCampaign(std::string_view strategy_name, Flavor flavor
   config.budget = budget;
   config.fault_set = fault_set;
   return Campaign(config).Run(strategy_name);
-}
-
-Result<CampaignResult> RunCampaign(StrategyKind kind, Flavor flavor, uint64_t seed,
-                                   SimDuration budget, FaultSet fault_set) {
-  return RunCampaign(StrategyKindName(kind), flavor, seed, budget, fault_set);
 }
 
 }  // namespace themis

@@ -389,13 +389,19 @@ TEST_P(ClusterCacheTest, CachedAggregatesMatchBruteForce) {
   }
 
   // The one full rebuild: a snapshot restored into a fresh cluster must
-  // yield the same aggregates.
+  // yield the same aggregates, and save back to the same bytes — churn
+  // leaves GC'd bricks and decommissioned nodes behind as vacant ids.
   SnapshotWriter writer;
   dfs->SaveState(writer);
   std::unique_ptr<DfsCluster> restored = MakeCluster(param.flavor, param.seed);
   SnapshotReader reader(writer.buffer());
   ASSERT_TRUE(restored->RestoreState(reader).ok());
   CheckAggregates(*restored, param.steps, "restored");
+  SnapshotWriter resaved;
+  restored->SaveState(resaved);
+  EXPECT_TRUE(resaved.buffer() == writer.buffer())
+      << "restored cluster saves " << resaved.buffer().size() << " bytes, original "
+      << writer.buffer().size();
 }
 
 // 4 flavors x {healthy, faulty} x 1500 steps = 12000 randomized mutation

@@ -42,7 +42,7 @@ TEST_P(ClusterOpsTest, CreateStoresReplicatedData) {
   // Replication doubles the stored bytes.
   EXPECT_EQ(dfs_->TotalUsedBytes(), 2 * 10 * kGiB);
   // Chunks respect the stripe unit.
-  const FileLayout& layout = dfs_->file_layouts().begin()->second;
+  const FileLayout& layout = (*dfs_->file_layouts().begin()).second;
   for (const ChunkPlacement& chunk : layout.chunks) {
     EXPECT_LE(chunk.bytes, dfs_->config().chunk_size);
     EXPECT_EQ(chunk.replicas.size(), 2u);
@@ -150,7 +150,7 @@ TEST_P(ClusterOpsTest, RemoveStorageNodeRespectsMinimum) {
 TEST_P(ClusterOpsTest, RemovedNodeDataIsReRecovered) {
   ASSERT_TRUE(dfs_->Execute(MakeCreate("/f", 8 * kGiB)).status.ok());
   Operation remove = MakeOp(OpKind::kRemoveStorageNode);
-  remove.node = dfs_->file_layouts().begin()->second.chunks.front().replicas.front();
+  remove.node = (*dfs_->file_layouts().begin()).second.chunks.front().replicas.front();
   // The replica id is a brick; resolve its node.
   remove.node = dfs_->FindBrick(static_cast<BrickId>(remove.node))->node;
   ASSERT_TRUE(dfs_->Execute(remove).status.ok());

@@ -37,7 +37,7 @@ void PopulateAndSkew(DfsCluster& dfs) {
   }
   Operation shrink;
   shrink.kind = OpKind::kReduceVolume;
-  shrink.brick = dfs.bricks().begin()->first;
+  shrink.brick = (*dfs.bricks().begin()).first;
   shrink.size = 0;  // default delta: shrink by a quarter
   for (int i = 0; i < 3; ++i) {
     dfs.Execute(shrink);

@@ -9,9 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include "src/common/snapshot_io.h"
 #include "src/harness/campaign.h"
+#include "src/harness/snapshot.h"
 
 namespace themis {
 namespace {
@@ -46,6 +53,50 @@ TEST(GoldenDigestTest, PerFlavorDigestsArePinned) {
     EXPECT_EQ(result->Digest(), golden.digest) << flavor;
     EXPECT_EQ(result->testcases, golden.testcases) << flavor;
     EXPECT_EQ(result->total_ops, golden.total_ops) << flavor;
+  }
+}
+
+// The snapshot encoding is pinned as well: each golden campaign, run with a
+// checkpoint every 1000 ops, writes its last mid-campaign checkpoint file
+// (cluster, model, injector and strategy state) byte for byte as below —
+// FNV-1a 64 over the whole file, same order as kGolden. tools/digest_probe
+// prints these hashes. A hash that moves while the digests above hold means
+// the snapshot encoding changed: decide on kSnapshotFormatVersion before
+// re-pinning.
+constexpr uint64_t kLastCheckpointFnv[] = {
+    0x28d5aef9280aa5e0ULL,  // GlusterFS
+    0x1c9205969d938fc6ULL,  // HDFS
+    0x5f4009fafbbf9289ULL,  // CephFS
+    0xcd88d97cac8a9344ULL,  // LeoFS
+    0x2937119e8e37cf88ULL,  // GeoFS
+};
+
+TEST(GoldenDigestTest, LastCheckpointBytesArePinned) {
+  static_assert(std::size(kLastCheckpointFnv) == std::size(kGolden));
+  for (size_t i = 0; i < std::size(kGolden); ++i) {
+    const GoldenEntry& golden = kGolden[i];
+    const std::string flavor(FlavorName(golden.flavor));
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) / ("golden_ckpt_" + flavor);
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    CampaignConfig config;
+    config.flavor = golden.flavor;
+    config.seed = 1234;
+    config.budget = Hours(2);
+    config.checkpoint_dir = dir.string();
+    config.checkpoint_every_ops = 1000;
+    Result<CampaignResult> result = Campaign(config).Run("Themis");
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->Digest(), golden.digest) << flavor;
+    // Most-preferred first: the final snapshot, then the newest mid one.
+    std::vector<std::string> paths = ListJobSnapshotPaths(dir.string(), 0);
+    ASSERT_GE(paths.size(), 2u) << flavor;
+    std::ifstream in(paths[1], std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    EXPECT_EQ(Fnv1a64(bytes.str()), kLastCheckpointFnv[i]) << flavor << " " << paths[1];
+    std::filesystem::remove_all(dir);
   }
 }
 
