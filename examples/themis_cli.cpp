@@ -37,6 +37,7 @@
 
 #include "src/common/log.h"
 #include "src/core/replay.h"
+#include "src/dfs/types.h"
 #include "src/fleet/fleet_cli.h"
 #include "src/faults/fault_registry.h"
 #include "src/faults/injector.h"
@@ -67,23 +68,6 @@ int Usage() {
                "          (--bugs re-injects the Table 2 faults: reproduction against\n"
                "           the buggy system, as in the paper's replay step)\n");
   return 2;
-}
-
-bool ParseFlavor(const char* text, Flavor* out) {
-  if (std::strcmp(text, "hdfs") == 0) {
-    *out = Flavor::kHdfs;
-  } else if (std::strcmp(text, "ceph") == 0) {
-    *out = Flavor::kCeph;
-  } else if (std::strcmp(text, "gluster") == 0) {
-    *out = Flavor::kGluster;
-  } else if (std::strcmp(text, "leo") == 0) {
-    *out = Flavor::kLeo;
-  } else if (std::strcmp(text, "geo") == 0) {
-    *out = Flavor::kGeo;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 // Maps the CLI spellings to registry names; any name already known to the

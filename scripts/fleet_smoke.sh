@@ -50,4 +50,29 @@ done
 python3 -c "import json,sys; json.load(open(sys.argv[1])); json.load(open(sys.argv[2]))" \
     "$FLEET/fleet_summary.json" "$FLEET/fleet_metrics.json"
 
+# The event stream is rendered once from the done records: event lines in
+# ascending job order, then exactly one job_summary per done record.
+python3 - "$FLEET" <<'PY'
+import json, os, re, sys
+fleet = sys.argv[1]
+done = sorted(int(m.group(1)) for m in
+              (re.fullmatch(r"job-(\d+)\.res", n)
+               for n in os.listdir(os.path.join(fleet, "done"))) if m)
+events, summaries = [], []
+with open(os.path.join(fleet, "fleet_telemetry.jsonl")) as stream:
+    for line in stream:
+        record = json.loads(line)
+        if record["event"] == "job_summary":
+            summaries.append(record["job"])
+        else:
+            events.append(record["job"])
+if events != sorted(events):
+    sys.exit("fleet-smoke: FAIL — event lines are not in ascending job order")
+if sorted(summaries) != done:
+    sys.exit(f"fleet-smoke: FAIL — job_summary jobs {sorted(summaries)} "
+             f"!= done records {done}")
+print(f"fleet-smoke: {len(events)} event lines in job order, "
+      f"{len(summaries)} job summaries for {len(done)} done records")
+PY
+
 echo "fleet-smoke: PASS — crash survived, invariants hold, artifacts merged"

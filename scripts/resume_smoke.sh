@@ -75,3 +75,10 @@ echo "resume-smoke: 1-worker fleet with crash-after-first-checkpoint hook"
 
 diff "$WORK/fleet_reference.json" "$WORK/fleet/fleet_summary.json"
 echo "resume-smoke: PASS — single-worker fleet summary byte-identical to the plain runner after crash + restart"
+
+# The fleet's event stream is rendered from its done records; its event
+# lines (job_summary lines carry wall-clock time) must match the plain
+# runner's --telemetry-out line for line.
+diff <(grep -v '"event":"job_summary"' "$WORK/ref_events.jsonl") \
+     <(grep -v '"event":"job_summary"' "$WORK/fleet/fleet_telemetry.jsonl")
+echo "resume-smoke: PASS — fleet event stream identical to the plain runner's after crash + restart"

@@ -10,14 +10,31 @@
 //
 // The encoding is deliberately dumb: no varints, no tags, no reflection.
 // Every field is written and read in one fixed order; the format version in
-// the snapshot header (src/harness/snapshot.h) is the only schema evolution
-// mechanism.
+// the file's frame is the only schema evolution mechanism.
+//
+// Every persisted record — campaign snapshots, fleet job specs, done
+// records, corpus seeds, worker metrics — is one framed file, written and
+// read by the single WriteFramedFile/ReadFramedFile pair below:
+//
+//   offset  size  field
+//   0       8     magic (per record kind, e.g. "THMSNP01", "THMSEED1")
+//   8       4     format version (u32 LE)
+//   12      0|1   kind byte (campaign snapshots only)
+//   12|13   8     payload size in bytes (u64 LE)
+//   20|21   8     FNV-1a 64 checksum of the payload (u64 LE)
+//   28|29   ...   payload (SnapshotWriter encoding)
+//
+// Writes are atomic (tmp + rename), so a reader never observes a torn file;
+// readers validate magic, version, kind, size and checksum before any field
+// is parsed, and every corruption mode maps to a kDataLoss Status naming the
+// file.
 
 #ifndef SRC_COMMON_SNAPSHOT_IO_H_
 #define SRC_COMMON_SNAPSHOT_IO_H_
 
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -82,6 +99,34 @@ class SnapshotReader {
   size_t pos_ = 0;
   std::string error_;
 };
+
+// Writes `content` to `path` atomically: a temp file suffixed with the pid
+// (concurrent processes may publish the same path), then rename. Creates
+// missing parent directories.
+Status WriteFileAtomically(const std::string& path, std::string_view content);
+
+// Appends one line (with trailing newline added) to `path`, creating it if
+// needed. Lines are written with a single O_APPEND write, so concurrent
+// appenders from different processes never interleave mid-line.
+Status AppendLine(const std::string& path, std::string_view line);
+
+// Frames `payload` (see file comment) and writes it atomically. `magic`
+// must be exactly 8 bytes; `kind`, when set, is the byte after the version.
+Status WriteFramedFile(const std::string& path, std::string_view magic,
+                       uint32_t version, std::string_view payload,
+                       std::optional<uint8_t> kind = std::nullopt);
+
+struct FramedPayload {
+  uint8_t kind = 0;
+  std::string payload;
+};
+
+// Reads and validates one framed file. `max_kind`, when set, says the frame
+// carries a kind byte and bounds it. kNotFound when the file cannot be
+// opened, kDataLoss for every corruption mode.
+Result<FramedPayload> ReadFramedFile(
+    const std::string& path, std::string_view magic, uint32_t version,
+    std::optional<uint8_t> max_kind = std::nullopt);
 
 }  // namespace themis
 

@@ -20,6 +20,23 @@ std::string_view FlavorName(Flavor flavor) {
   return "?";
 }
 
+bool ParseFlavor(std::string_view text, Flavor* out) {
+  if (text == "hdfs") {
+    *out = Flavor::kHdfs;
+  } else if (text == "ceph") {
+    *out = Flavor::kCeph;
+  } else if (text == "gluster") {
+    *out = Flavor::kGluster;
+  } else if (text == "leo") {
+    *out = Flavor::kLeo;
+  } else if (text == "geo") {
+    *out = Flavor::kGeo;
+  } else {
+    return false;
+  }
+  return true;
+}
+
 size_t FlavorBranchSpace(Flavor flavor) {
   // Sized so that a saturated load-variance-guided campaign lands near the
   // paper's Table 5 coverage magnitudes (HDFS 39.9k, Gluster 49.3k,

@@ -36,6 +36,10 @@ enum class Flavor : uint8_t {
 
 std::string_view FlavorName(Flavor flavor);
 
+// Parses a CLI flavor spelling (hdfs, ceph, gluster, leo, geo); false for
+// anything else.
+bool ParseFlavor(std::string_view text, Flavor* out);
+
 // Virtual branch space per flavor (see src/coverage/coverage.h). Sized so
 // that saturated Themis campaigns land near the paper's Table 5 magnitudes.
 size_t FlavorBranchSpace(Flavor flavor);

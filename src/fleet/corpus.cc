@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <filesystem>
 
+#include "src/common/snapshot_io.h"
 #include "src/common/strings.h"
-#include "src/fleet/fleet_io.h"
 
 namespace themis {
 
@@ -61,12 +61,12 @@ Status PublishSeed(const std::string& dir, const CorpusSeed& seed) {
 }
 
 Result<CorpusSeed> ReadSeedFile(const std::string& path) {
-  Result<std::string> payload =
+  Result<FramedPayload> framed =
       ReadFramedFile(path, kCorpusSeedMagic, kCorpusSeedFormatVersion);
-  if (!payload.ok()) {
-    return payload.status();
+  if (!framed.ok()) {
+    return framed.status();
   }
-  SnapshotReader reader(payload.value());
+  SnapshotReader reader(framed->payload);
   CorpusSeed seed;
   seed.fingerprint = reader.U64();
   uint8_t flavor = reader.U8();

@@ -3,9 +3,9 @@
 #include <filesystem>
 
 #include "src/common/log.h"
+#include "src/common/snapshot_io.h"
 #include "src/common/strings.h"
 #include "src/core/seed_pool.h"
-#include "src/fleet/fleet_io.h"
 #include "src/fleet/heartbeat.h"
 #include "src/telemetry/metrics.h"
 

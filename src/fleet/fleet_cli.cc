@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/common/log.h"
+#include "src/dfs/types.h"
 #include "src/fleet/supervisor.h"
 #include "src/fleet/worker.h"
 #include "src/harness/runner.h"
@@ -33,23 +34,6 @@ int FleetUsage() {
       "        [--halt-after-checkpoints=N]\n"
       "  ... fleet status --dir=DIR\n");
   return 2;
-}
-
-bool ParseFleetFlavor(const char* text, Flavor* out) {
-  if (std::strcmp(text, "hdfs") == 0) {
-    *out = Flavor::kHdfs;
-  } else if (std::strcmp(text, "ceph") == 0) {
-    *out = Flavor::kCeph;
-  } else if (std::strcmp(text, "gluster") == 0) {
-    *out = Flavor::kGluster;
-  } else if (std::strcmp(text, "leo") == 0) {
-    *out = Flavor::kLeo;
-  } else if (std::strcmp(text, "geo") == 0) {
-    *out = Flavor::kGeo;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 // "--name=value" / "--name value" in one helper; advances *i for the
@@ -86,7 +70,7 @@ int RunFleetRun(int argc, char** argv) {
     return FleetUsage();
   }
   Flavor flavor;
-  if (!ParseFleetFlavor(argv[0], &flavor)) {
+  if (!ParseFlavor(argv[0], &flavor)) {
     return FleetUsage();
   }
   FleetConfig config;

@@ -3,8 +3,8 @@
 #include <cstdlib>
 #include <fstream>
 
+#include "src/common/snapshot_io.h"
 #include "src/common/strings.h"
-#include "src/fleet/fleet_io.h"
 
 namespace themis {
 

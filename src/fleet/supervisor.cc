@@ -13,12 +13,11 @@
 #include <thread>
 
 #include "src/common/log.h"
+#include "src/common/snapshot_io.h"
 #include "src/common/strings.h"
 #include "src/dfs/types.h"
 #include "src/fleet/corpus.h"
-#include "src/fleet/fleet_io.h"
 #include "src/fleet/heartbeat.h"
-#include "src/fleet/telemetry_merge.h"
 #include "src/harness/telemetry_export.h"
 #include "src/telemetry/metrics.h"
 
@@ -68,6 +67,9 @@ Status StageFleetJobs(const FleetPaths& paths, const CampaignMatrix& matrix,
 }
 
 namespace {
+
+// How often the supervisor polls worker liveness.
+constexpr std::chrono::milliseconds kPollInterval{50};
 
 struct WorkerProc {
   int worker_id = 0;
@@ -147,22 +149,14 @@ Result<FleetOutcome> RunFleetSupervisor(const FleetConfig& config) {
     fs::create_directories(corpus_dir, ec);
   }
   const std::string stream_path =
-      config.stream_path.empty()
-          ? (fs::path(config.dir) / "fleet_telemetry.jsonl").string()
-          : config.stream_path;
+      (fs::path(config.dir) / "fleet_telemetry.jsonl").string();
   const std::string summary_path =
-      config.merged_summary_path.empty()
-          ? (fs::path(config.dir) / "fleet_summary.json").string()
-          : config.merged_summary_path;
+      (fs::path(config.dir) / "fleet_summary.json").string();
   const std::string bench_path =
-      config.merged_bench_path.empty()
-          ? (fs::path(config.dir) / "fleet_metrics.json").string()
-          : config.merged_bench_path;
+      (fs::path(config.dir) / "fleet_metrics.json").string();
 
   auto start = std::chrono::steady_clock::now();
   std::vector<WorkerProc> procs(static_cast<size_t>(config.workers));
-  std::vector<JsonlTail> tails;
-  tails.reserve(procs.size());
   for (int k = 0; k < config.workers; ++k) {
     procs[k].worker_id = k;
     bool crash_hook = k == 0 && config.crash_worker0_after_checkpoints > 0;
@@ -172,19 +166,10 @@ Result<FleetOutcome> RunFleetSupervisor(const FleetConfig& config) {
     }
     procs[k].pid = pid.value();
     procs[k].incarnation = 1;
-    tails.emplace_back(
-        (fs::path(paths.telemetry) / Sprintf("worker-%d.jsonl", k)).string());
     THEMIS_COUNTER_INC("fleet.workers_spawned", 1);
   }
 
   FleetOutcome outcome;
-  auto drain_streams = [&] {
-    for (JsonlTail& tail : tails) {
-      for (const std::string& line : tail.Drain()) {
-        AppendLine(stream_path, line);
-      }
-    }
-  };
 
   while (true) {
     bool all_settled = true;
@@ -239,19 +224,16 @@ Result<FleetOutcome> RunFleetSupervisor(const FleetConfig& config) {
       }
       proc.pid = pid.value();
     }
-    drain_streams();
     if (all_settled) {
       break;
     }
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(config.poll_interval_s));
+    std::this_thread::sleep_for(kPollInterval);
   }
-  drain_streams();
   outcome.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 
-  // ---- Merge done records into the deterministic campaign summary. ----
+  // ---- Done records -> the campaign summary and the event stream. ----
   Result<std::vector<FleetDoneRecord>> records = ReadAllDoneRecords(paths);
   if (!records.ok()) {
     return records.status();
@@ -284,6 +266,7 @@ Result<FleetOutcome> RunFleetSupervisor(const FleetConfig& config) {
   outcome.distinct_failures = static_cast<int>(distinct.size());
   // Fleet-wide transition coverage: distinct (from, to) pairs per flavor,
   // unioned over the jobs' covered-pair lists.
+  MetricsSnapshot merged;
   {
     std::map<Flavor, std::set<std::pair<uint8_t, uint8_t>>> pairs_by_flavor;
     for (const JobResult& job_result : matrix_result.jobs) {
@@ -295,29 +278,32 @@ Result<FleetOutcome> RunFleetSupervisor(const FleetConfig& config) {
     }
     for (const auto& [flavor, pairs] : pairs_by_flavor) {
       outcome.fleet_transitions += pairs.size();
-      MetricsRegistry::Global()
-          .GetGauge(Sprintf("fleet.transitions.%s",
-                            std::string(FlavorName(flavor)).c_str()))
-          .Add(static_cast<int64_t>(pairs.size()));
+      merged.gauges[Sprintf("fleet.transitions.%s",
+                            std::string(FlavorName(flavor)).c_str())] +=
+          static_cast<int64_t>(pairs.size());
     }
   }
   if (Status s = WriteCampaignSummaryJson(matrix_result, summary_path);
       !s.ok()) {
     return s;
   }
+  if (Status s = WriteTelemetryJsonl(matrix_result, stream_path); !s.ok()) {
+    return s;
+  }
 
-  // ---- Merge per-worker metrics registries + fleet gauges. ----
-  FlatMetrics merged;
+  // ---- Sum per-worker counters and gauges, plus the fleet gauges. ----
   for (int k = 0; k < config.workers; ++k) {
-    const std::string metrics_path =
-        (fs::path(paths.telemetry) / Sprintf("metrics-worker-%d.json", k))
-            .string();
-    Result<FlatMetrics> worker_metrics = ReadFlatMetricsJson(metrics_path);
-    if (worker_metrics.ok()) {
-      MergeFlatMetrics(&merged, worker_metrics.value());
-    }
+    Result<MetricsSnapshot> worker_metrics = ReadWorkerMetricsFile(
+        (fs::path(paths.telemetry) / WorkerMetricsFileName(k)).string());
     // A worker that never exited cleanly (crashed out of restarts) simply
-    // contributes no registry; its done records still count above.
+    // contributes no metrics; its done records still count above.
+    if (!worker_metrics.ok()) continue;
+    for (const auto& [name, value] : worker_metrics->counters) {
+      merged.counters[name] += value;
+    }
+    for (const auto& [name, value] : worker_metrics->gauges) {
+      merged.gauges[name] += value;
+    }
   }
   outcome.corpus_seeds = ListSeedFileNames(corpus_dir).size();
   merged.gauges["fleet.workers"] += config.workers;
@@ -334,27 +320,14 @@ Result<FleetOutcome> RunFleetSupervisor(const FleetConfig& config) {
     merged.gauges["fleet.ops_per_sec"] += static_cast<int64_t>(
         static_cast<double>(outcome.total_ops) / outcome.wall_seconds);
   }
-  std::string bench_doc = RenderMergedMetricsJson(
-      "fleet", outcome.wall_seconds, config.workers, merged);
-  {
-    std::error_code ec;
-    fs::path target(bench_path);
-    if (target.has_parent_path()) fs::create_directories(target.parent_path(), ec);
-    std::string tmp = bench_path + ".tmp";
-    FILE* file = std::fopen(tmp.c_str(), "wb");
-    if (file == nullptr) {
-      return Status::Internal(Sprintf("cannot open %s", tmp.c_str()));
-    }
-    size_t written = std::fwrite(bench_doc.data(), 1, bench_doc.size(), file);
-    std::fclose(file);
-    if (written != bench_doc.size()) {
-      return Status::Internal(Sprintf("short write to %s", tmp.c_str()));
-    }
-    fs::rename(tmp, bench_path, ec);
-    if (ec) {
-      return Status::Internal(Sprintf("cannot rename %s: %s", tmp.c_str(),
-                                      ec.message().c_str()));
-    }
+  std::string head = Sprintf(
+      "{\n  \"bench\": \"fleet\",\n  \"wall_seconds\": %.6f,\n"
+      "  \"workers\": %d,\n",
+      outcome.wall_seconds, config.workers);
+  if (Status s = WriteFileAtomically(
+          bench_path, RenderMetricsSummaryJson(std::move(head), merged));
+      !s.ok()) {
+    return s;
   }
 
   THEMIS_LOG(kInfo,

@@ -2,9 +2,11 @@
 // shared work queue, fork/execs N worker processes, and babysits them —
 // liveness via waitpid plus heartbeat-file staleness, crash restarts capped
 // per worker (each restart resumes orphaned claims from their newest valid
-// checkpoint), live telemetry funneled from per-worker JSONL streams into
-// one merged stream, and a final merge of done records + per-worker metrics
-// into fleet_summary.json and a fleet BENCH document.
+// checkpoint). When every worker has settled it renders the outputs under
+// <dir> from what the workers left: the done records become
+// fleet_summary.json and the fleet_telemetry.jsonl event stream (ascending
+// job order, as the plain runner's --telemetry-out), and the per-worker
+// metrics records sum into the fleet BENCH document fleet_metrics.json.
 //
 // Fleet mode trades bit-identity for throughput: instead of digests it is
 // validated by invariants — no lost seeds (publish logs ⊆ corpus), monotone
@@ -39,7 +41,6 @@ struct FleetConfig {
   // (campaigns that legitimately pause longer than any sane timeout).
   double heartbeat_timeout_s = 0.0;
   int max_restarts_per_worker = 8;
-  double poll_interval_s = 0.05;
   // argv prefix for spawning one worker, e.g. {"/proc/self/exe", "fleet",
   // "worker"}; the supervisor appends --dir/--worker/--corpus-dir/cadence
   // flags per worker.
@@ -48,10 +49,6 @@ struct FleetConfig {
   // --halt-after-checkpoints=<n>, so it deterministically dies mid-job and
   // exercises the restart-from-checkpoint path.
   int crash_worker0_after_checkpoints = 0;
-  // Output paths; empty fields default under <dir>.
-  std::string merged_summary_path;  // fleet_summary.json
-  std::string merged_bench_path;    // fleet_metrics.json
-  std::string stream_path;          // fleet_telemetry.jsonl (merged live)
 };
 
 struct FleetOutcome {

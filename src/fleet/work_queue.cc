@@ -4,7 +4,6 @@
 #include <filesystem>
 
 #include "src/common/strings.h"
-#include "src/fleet/fleet_io.h"
 #include "src/harness/snapshot.h"
 
 namespace themis {
@@ -87,94 +86,92 @@ bool ParseClaimName(std::string_view name, size_t* index, int* worker_id) {
   return true;
 }
 
+// (index, path) of every "job-<index>...<suffix>" file in `dir`, ascending
+// index; a missing directory lists nothing.
+std::vector<std::pair<size_t, std::string>> ListJobFiles(
+    const std::string& dir, std::string_view suffix) {
+  std::vector<std::pair<size_t, std::string>> files;
+  std::error_code ec;
+  for (fs::directory_iterator it(dir, ec);
+       !ec && it != fs::directory_iterator(); ++it) {
+    size_t index = 0;
+    std::string name = it->path().filename().string();
+    if (ParseJobIndex(name, &index) && name.ends_with(suffix)) {
+      files.emplace_back(index, it->path().string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+// Reads the spec behind a claim this worker now owns.
+Result<std::optional<ClaimedJob>> AdoptClaim(const std::string& claim_path,
+                                             const char* what) {
+  Result<CampaignJob> job = ReadJobSpecFile(claim_path);
+  if (!job.ok()) {
+    return Status::DataLoss(Sprintf("%s %s unreadable: %s", what,
+                                    claim_path.c_str(),
+                                    job.status().ToString().c_str()));
+  }
+  return std::optional<ClaimedJob>(ClaimedJob{job.take(), claim_path});
+}
+
+// The job's identity and full CampaignConfig: the behavior fields, then the
+// checkpoint plumbing (the spec is the worker's complete marching orders).
+// Restore runs CampaignConfig::Validate().
+void SaveJob(SnapshotWriter& writer, const CampaignJob& job) {
+  writer.U64(job.index);
+  writer.Str(job.strategy);
+  writer.I64(job.repetition);
+  SaveCampaignBehavior(writer, job.config);
+  writer.Str(job.config.checkpoint_dir);
+  writer.U64(job.config.checkpoint_every_ops);
+  writer.Bool(job.config.resume);
+  writer.I64(job.config.checkpoint_keep);
+  writer.U64(job.config.job_index);
+  writer.I64(job.config.halt_after_checkpoints);
+}
+
+Status RestoreJob(SnapshotReader& reader, const std::string& path,
+                  CampaignJob* job) {
+  job->index = reader.U64();
+  job->strategy = reader.Str();
+  job->repetition = static_cast<int>(reader.I64());
+  CampaignConfig& config = job->config;
+  RestoreCampaignBehavior(reader, &config);
+  config.checkpoint_dir = reader.Str();
+  config.checkpoint_every_ops = reader.U64();
+  config.resume = reader.Bool();
+  config.checkpoint_keep = static_cast<int>(reader.I64());
+  config.job_index = reader.U64();
+  config.halt_after_checkpoints = static_cast<int>(reader.I64());
+  Status status = reader.ok() ? config.Validate() : reader.status();
+  if (!status.ok()) {
+    return Status::DataLoss(
+        Sprintf("%s: %s", path.c_str(), status.ToString().c_str()));
+  }
+  return Status::Ok();
+}
+
 }  // namespace
-
-void SaveCampaignConfig(SnapshotWriter& writer, const CampaignConfig& config) {
-  writer.U8(static_cast<uint8_t>(config.flavor));
-  writer.U64(config.seed);
-  writer.I64(config.budget);
-  writer.F64(config.threshold_t);
-  writer.F64(config.weights.computation);
-  writer.F64(config.weights.network);
-  writer.F64(config.weights.storage);
-  writer.U8(static_cast<uint8_t>(config.fault_set));
-  writer.I64(config.initial_files);
-  writer.I64(config.coverage_sample_period);
-  writer.I64(config.storage_nodes);
-  writer.I64(config.meta_nodes);
-  writer.Bool(config.env_faults);
-  writer.Bool(config.collect_telemetry);
-  writer.F64(config.transition_weight);
-  writer.Str(config.checkpoint_dir);
-  writer.U64(config.checkpoint_every_ops);
-  writer.Bool(config.resume);
-  writer.I64(config.checkpoint_keep);
-  writer.U64(config.job_index);
-  writer.I64(config.halt_after_checkpoints);
-}
-
-Status RestoreCampaignConfig(SnapshotReader& reader, CampaignConfig* config) {
-  uint8_t flavor = reader.U8();
-  config->seed = reader.U64();
-  config->budget = reader.I64();
-  config->threshold_t = reader.F64();
-  config->weights.computation = reader.F64();
-  config->weights.network = reader.F64();
-  config->weights.storage = reader.F64();
-  uint8_t fault_set = reader.U8();
-  config->initial_files = static_cast<int>(reader.I64());
-  config->coverage_sample_period = reader.I64();
-  config->storage_nodes = static_cast<int>(reader.I64());
-  config->meta_nodes = static_cast<int>(reader.I64());
-  config->env_faults = reader.Bool();
-  config->collect_telemetry = reader.Bool();
-  config->transition_weight = reader.F64();
-  config->checkpoint_dir = reader.Str();
-  config->checkpoint_every_ops = reader.U64();
-  config->resume = reader.Bool();
-  config->checkpoint_keep = static_cast<int>(reader.I64());
-  config->job_index = reader.U64();
-  config->halt_after_checkpoints = static_cast<int>(reader.I64());
-  if (!reader.ok()) {
-    return reader.status();
-  }
-  if (flavor > static_cast<uint8_t>(Flavor::kGeo)) {
-    reader.Fail(Sprintf("job spec has unknown flavor %u", flavor));
-    return reader.status();
-  }
-  config->flavor = static_cast<Flavor>(flavor);
-  if (fault_set > static_cast<uint8_t>(FaultSet::kNone)) {
-    reader.Fail(Sprintf("job spec has unknown fault set %u", fault_set));
-    return reader.status();
-  }
-  config->fault_set = static_cast<FaultSet>(fault_set);
-  return config->Validate();
-}
 
 Status WriteJobSpecFile(const std::string& path, const CampaignJob& job) {
   SnapshotWriter payload;
-  payload.U64(job.index);
-  payload.Str(job.strategy);
-  payload.I64(job.repetition);
-  SaveCampaignConfig(payload, job.config);
+  SaveJob(payload, job);
   return WriteFramedFile(path, kJobSpecMagic, kFleetFileFormatVersion,
                          payload.buffer());
 }
 
 Result<CampaignJob> ReadJobSpecFile(const std::string& path) {
-  Result<std::string> payload =
+  Result<FramedPayload> framed =
       ReadFramedFile(path, kJobSpecMagic, kFleetFileFormatVersion);
-  if (!payload.ok()) {
-    return payload.status();
+  if (!framed.ok()) {
+    return framed.status();
   }
-  SnapshotReader reader(payload.value());
+  SnapshotReader reader(framed->payload);
   CampaignJob job;
-  job.index = reader.U64();
-  job.strategy = reader.Str();
-  job.repetition = static_cast<int>(reader.I64());
-  if (Status s = RestoreCampaignConfig(reader, &job.config); !s.ok()) {
-    return Status::DataLoss(
-        Sprintf("%s: %s", path.c_str(), s.ToString().c_str()));
+  if (Status s = RestoreJob(reader, path, &job); !s.ok()) {
+    return s;
   }
   if (!reader.AtEnd()) {
     return Status::DataLoss(
@@ -186,10 +183,7 @@ Result<CampaignJob> ReadJobSpecFile(const std::string& path) {
 Status WriteDoneRecordFile(const std::string& path,
                            const FleetDoneRecord& record) {
   SnapshotWriter payload;
-  payload.U64(record.job.index);
-  payload.Str(record.job.strategy);
-  payload.I64(record.job.repetition);
-  SaveCampaignConfig(payload, record.job.config);
+  SaveJob(payload, record.job);
   payload.I64(record.worker_id);
   payload.F64(record.wall_seconds);
   payload.F64(record.cpu_seconds);
@@ -204,25 +198,20 @@ Status WriteDoneRecordFile(const std::string& path,
 }
 
 Result<FleetDoneRecord> ReadDoneRecordFile(const std::string& path) {
-  Result<std::string> payload =
+  Result<FramedPayload> framed =
       ReadFramedFile(path, kDoneRecordMagic, kFleetFileFormatVersion);
-  if (!payload.ok()) {
-    return payload.status();
+  if (!framed.ok()) {
+    return framed.status();
   }
-  SnapshotReader reader(payload.value());
+  SnapshotReader reader(framed->payload);
   FleetDoneRecord record;
-  record.job.index = reader.U64();
-  record.job.strategy = reader.Str();
-  record.job.repetition = static_cast<int>(reader.I64());
-  if (Status s = RestoreCampaignConfig(reader, &record.job.config); !s.ok()) {
-    return Status::DataLoss(
-        Sprintf("%s: %s", path.c_str(), s.ToString().c_str()));
+  if (Status s = RestoreJob(reader, path, &record.job); !s.ok()) {
+    return s;
   }
   record.worker_id = static_cast<int>(reader.I64());
   record.wall_seconds = reader.F64();
   record.cpu_seconds = reader.F64();
-  bool ok = reader.Bool();
-  if (ok) {
+  if (reader.Bool()) {
     if (Status s = RestoreCampaignResult(reader, &record.result); !s.ok()) {
       return Status::DataLoss(
           Sprintf("%s: %s", path.c_str(), s.ToString().c_str()));
@@ -237,22 +226,64 @@ Result<FleetDoneRecord> ReadDoneRecordFile(const std::string& path) {
   return record;
 }
 
+std::string WorkerMetricsFileName(int worker_id) {
+  return Sprintf("worker-%d.metrics", worker_id);
+}
+
+Status WriteWorkerMetricsFile(const std::string& path,
+                              const MetricsSnapshot& metrics) {
+  SnapshotWriter payload;
+  payload.U64(metrics.counters.size());
+  for (const auto& [name, value] : metrics.counters) {
+    payload.Str(name);
+    payload.U64(value);
+  }
+  payload.U64(metrics.gauges.size());
+  for (const auto& [name, value] : metrics.gauges) {
+    payload.Str(name);
+    payload.I64(value);
+  }
+  return WriteFramedFile(path, kWorkerMetricsMagic, kFleetFileFormatVersion,
+                         payload.buffer());
+}
+
+Result<MetricsSnapshot> ReadWorkerMetricsFile(const std::string& path) {
+  Result<FramedPayload> framed =
+      ReadFramedFile(path, kWorkerMetricsMagic, kFleetFileFormatVersion);
+  if (!framed.ok()) {
+    return framed.status();
+  }
+  SnapshotReader reader(framed->payload);
+  MetricsSnapshot metrics;
+  uint64_t counters = reader.Count(16);
+  for (uint64_t i = 0; i < counters && reader.ok(); ++i) {
+    std::string name = reader.Str();
+    metrics.counters[std::move(name)] = reader.U64();
+  }
+  uint64_t gauges = reader.Count(16);
+  for (uint64_t i = 0; i < gauges && reader.ok(); ++i) {
+    std::string name = reader.Str();
+    metrics.gauges[std::move(name)] = reader.I64();
+  }
+  if (!reader.ok() || !reader.AtEnd()) {
+    return Status::DataLoss(
+        Sprintf("%s: malformed worker metrics record", path.c_str()));
+  }
+  return metrics;
+}
+
 Result<std::optional<ClaimedJob>> NextJob(const FleetPaths& paths,
                                           int worker_id) {
   // 1. Orphaned claims from a previous incarnation of this worker id.
-  std::vector<std::pair<size_t, std::string>> mine;
   std::error_code ec;
-  for (fs::directory_iterator it(paths.claimed, ec);
-       !ec && it != fs::directory_iterator(); ++it) {
-    size_t index = 0;
+  for (const auto& [index, claim_path] : ListJobFiles(paths.claimed, ".job")) {
+    size_t claim_index = 0;
     int owner = -1;
-    std::string name = it->path().filename().string();
-    if (ParseClaimName(name, &index, &owner) && owner == worker_id) {
-      mine.emplace_back(index, it->path().string());
+    if (!ParseClaimName(fs::path(claim_path).filename().string(),
+                        &claim_index, &owner) ||
+        owner != worker_id) {
+      continue;
     }
-  }
-  std::sort(mine.begin(), mine.end());
-  for (const auto& [index, claim_path] : mine) {
     const std::string done_path =
         (fs::path(paths.done) / DoneRecordFileName(index)).string();
     if (fs::exists(done_path, ec)) {
@@ -261,62 +292,29 @@ Result<std::optional<ClaimedJob>> NextJob(const FleetPaths& paths,
       fs::remove(claim_path, ec);
       continue;
     }
-    Result<CampaignJob> job = ReadJobSpecFile(claim_path);
-    if (!job.ok()) {
-      return Status::DataLoss(Sprintf("orphaned claim %s unreadable: %s",
-                                      claim_path.c_str(),
-                                      job.status().ToString().c_str()));
-    }
-    ClaimedJob claimed;
-    claimed.job = job.take();
-    claimed.claim_path = claim_path;
-    return std::optional<ClaimedJob>(std::move(claimed));
+    return AdoptClaim(claim_path, "orphaned claim");
   }
 
   // 2. Claim the lowest-index queue entry. rename(2) is atomic within the
   // fleet filesystem, so exactly one contender wins each file; losers just
-  // move on to the next candidate.
+  // move on to the next candidate. When every listed entry vanished under
+  // us (all claimed elsewhere), re-list — the loop terminates because the
+  // queue only shrinks.
   while (true) {
-    std::vector<std::pair<size_t, std::string>> queued;
-    for (fs::directory_iterator it(paths.queue, ec);
-         !ec && it != fs::directory_iterator(); ++it) {
-      size_t index = 0;
-      std::string name = it->path().filename().string();
-      if (ParseJobIndex(name, &index) &&
-          name.size() > 4 && name.substr(name.size() - 4) == ".job") {
-        queued.emplace_back(index, it->path().string());
-      }
-    }
+    std::vector<std::pair<size_t, std::string>> queued =
+        ListJobFiles(paths.queue, ".job");
     if (queued.empty()) {
       return std::optional<ClaimedJob>(std::nullopt);
     }
-    std::sort(queued.begin(), queued.end());
-    bool any_claimed = false;
     for (const auto& [index, queue_path] : queued) {
       const std::string claim_path =
           (fs::path(paths.claimed) / ClaimedJobFileName(index, worker_id))
               .string();
       std::error_code rename_ec;
       fs::rename(queue_path, claim_path, rename_ec);
-      if (rename_ec) {
-        continue;  // lost the race for this job; try the next
+      if (!rename_ec) {
+        return AdoptClaim(claim_path, "claimed spec");
       }
-      any_claimed = true;
-      Result<CampaignJob> job = ReadJobSpecFile(claim_path);
-      if (!job.ok()) {
-        return Status::DataLoss(Sprintf("claimed spec %s unreadable: %s",
-                                        claim_path.c_str(),
-                                        job.status().ToString().c_str()));
-      }
-      ClaimedJob claimed;
-      claimed.job = job.take();
-      claimed.claim_path = claim_path;
-      return std::optional<ClaimedJob>(std::move(claimed));
-    }
-    if (!any_claimed) {
-      // Every listed entry vanished under us (all claimed elsewhere);
-      // re-list — the loop terminates because the queue only shrinks.
-      continue;
     }
   }
 }
@@ -337,21 +335,8 @@ Status MarkJobDone(const FleetPaths& paths, const ClaimedJob& claimed,
 
 Result<std::vector<FleetDoneRecord>> ReadAllDoneRecords(
     const FleetPaths& paths) {
-  std::vector<std::pair<size_t, std::string>> files;
-  std::error_code ec;
-  for (fs::directory_iterator it(paths.done, ec);
-       !ec && it != fs::directory_iterator(); ++it) {
-    size_t index = 0;
-    std::string name = it->path().filename().string();
-    if (ParseJobIndex(name, &index) &&
-        name.size() > 4 && name.substr(name.size() - 4) == ".res") {
-      files.emplace_back(index, it->path().string());
-    }
-  }
-  std::sort(files.begin(), files.end());
   std::vector<FleetDoneRecord> records;
-  records.reserve(files.size());
-  for (const auto& [index, path] : files) {
+  for (const auto& [index, path] : ListJobFiles(paths.done, ".res")) {
     Result<FleetDoneRecord> record = ReadDoneRecordFile(path);
     if (!record.ok()) {
       return record.status();
@@ -363,22 +348,9 @@ Result<std::vector<FleetDoneRecord>> ReadAllDoneRecords(
 
 QueueCounts CountQueueEntries(const FleetPaths& paths) {
   QueueCounts counts;
-  auto count_dir = [](const std::string& dir, std::string_view suffix) {
-    size_t n = 0;
-    std::error_code ec;
-    for (fs::directory_iterator it(dir, ec);
-         !ec && it != fs::directory_iterator(); ++it) {
-      std::string name = it->path().filename().string();
-      if (name.size() > suffix.size() &&
-          name.substr(name.size() - suffix.size()) == suffix) {
-        ++n;
-      }
-    }
-    return n;
-  };
-  counts.queued = count_dir(paths.queue, ".job");
-  counts.claimed = count_dir(paths.claimed, ".job");
-  counts.done = count_dir(paths.done, ".res");
+  counts.queued = ListJobFiles(paths.queue, ".job").size();
+  counts.claimed = ListJobFiles(paths.claimed, ".job").size();
+  counts.done = ListJobFiles(paths.done, ".res").size();
   return counts;
 }
 

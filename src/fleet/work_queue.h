@@ -9,7 +9,8 @@
 //   corpus/                        shared seed corpus (corpus.h)
 //   ckpt/                          campaign snapshots, job-<index>-*.ckpt
 //   hb/                            per-worker heartbeat JSONL
-//   telemetry/                     per-worker event streams + metrics
+//   telemetry/worker-<k>.metrics   worker k's counters and gauges at exit
+//                                  (framed "THMSMET1")
 //
 // Claiming is a rename(2) from queue/ into claimed/: atomic on one
 // filesystem, so exactly one worker wins each job with no lock file or
@@ -29,11 +30,13 @@
 
 #include "src/common/status.h"
 #include "src/harness/runner.h"
+#include "src/telemetry/metrics.h"
 
 namespace themis {
 
 inline constexpr std::string_view kJobSpecMagic = "THMSJOB1";
 inline constexpr std::string_view kDoneRecordMagic = "THMSRES1";
+inline constexpr std::string_view kWorkerMetricsMagic = "THMSMET1";
 inline constexpr uint32_t kFleetFileFormatVersion = 1;
 
 struct FleetPaths {
@@ -54,12 +57,8 @@ std::string QueueJobFileName(size_t job_index);
 std::string ClaimedJobFileName(size_t job_index, int worker_id);
 std::string DoneRecordFileName(size_t job_index);
 
-// Full CampaignConfig round-trip (every field, including checkpoint
-// plumbing — the spec is the worker's complete marching orders). Restore
-// validates enum ranges and runs CampaignConfig::Validate().
-void SaveCampaignConfig(SnapshotWriter& writer, const CampaignConfig& config);
-Status RestoreCampaignConfig(SnapshotReader& reader, CampaignConfig* config);
-
+// A job spec carries the job's identity and its full CampaignConfig, every
+// field including checkpoint plumbing; reading it validates the config.
 Status WriteJobSpecFile(const std::string& path, const CampaignJob& job);
 Result<CampaignJob> ReadJobSpecFile(const std::string& path);
 
@@ -77,6 +76,14 @@ struct FleetDoneRecord {
 Status WriteDoneRecordFile(const std::string& path,
                            const FleetDoneRecord& record);
 Result<FleetDoneRecord> ReadDoneRecordFile(const std::string& path);
+
+// A worker process's counters and gauges at exit; the supervisor sums them
+// into fleet_metrics.json. Histograms stay out: the fleet document carries
+// none.
+std::string WorkerMetricsFileName(int worker_id);
+Status WriteWorkerMetricsFile(const std::string& path,
+                              const MetricsSnapshot& metrics);
+Result<MetricsSnapshot> ReadWorkerMetricsFile(const std::string& path);
 
 struct ClaimedJob {
   CampaignJob job;

@@ -2,16 +2,14 @@
 
 #include <unistd.h>
 
-#include <chrono>
 #include <filesystem>
 
 #include "src/common/log.h"
 #include "src/common/strings.h"
 #include "src/fleet/exchange.h"
-#include "src/fleet/fleet_io.h"
 #include "src/fleet/heartbeat.h"
 #include "src/fleet/work_queue.h"
-#include "src/harness/telemetry_export.h"
+#include "src/telemetry/metrics.h"
 
 namespace themis {
 
@@ -33,7 +31,6 @@ Result<FleetWorkerOutcome> RunFleetWorker(const FleetWorkerOptions& options) {
       (fs::path(paths.hb) / Sprintf("worker-%d.publog", options.worker_id))
           .string();
 
-  auto start = std::chrono::steady_clock::now();
   FleetWorkerOutcome outcome;
   bool first_job = true;
   uint64_t heartbeat_tail_seq = 0;
@@ -115,20 +112,6 @@ Result<FleetWorkerOutcome> RunFleetWorker(const FleetWorkerOptions& options) {
     }
     ++outcome.jobs_completed;
 
-    // Append this job's event stream (plus its job_summary line) to the
-    // worker's live JSONL; the supervisor tails it into the merged stream.
-    const std::string stream_path =
-        (fs::path(paths.telemetry) /
-         Sprintf("worker-%d.jsonl", options.worker_id))
-            .string();
-    std::string jsonl = RenderTelemetryJsonl(matrix_result);
-    if (!jsonl.empty() && jsonl.back() == '\n') {
-      jsonl.pop_back();
-    }
-    if (!jsonl.empty()) {
-      AppendLine(stream_path, jsonl);
-    }
-
     Heartbeat done_hb;
     done_hb.worker_id = options.worker_id;
     done_hb.pid = static_cast<long>(::getpid());
@@ -153,17 +136,17 @@ Result<FleetWorkerOutcome> RunFleetWorker(const FleetWorkerOptions& options) {
   exit_hb.phase = "exit";
   AppendHeartbeat(heartbeat_path, exit_hb);
 
-  // The worker's whole-process metrics registry, for the supervisor's
-  // sum-merge into the fleet BENCH document.
-  double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  const std::string metrics_path =
-      (fs::path(paths.telemetry) /
-       Sprintf("metrics-worker-%d.json", options.worker_id))
-          .string();
-  WriteMetricsSummaryJson(Sprintf("fleet-worker-%d", options.worker_id),
-                          wall_seconds, metrics_path);
+  // The worker's whole-process counters and gauges, for the supervisor's
+  // sum into the fleet BENCH document. Losing them costs only that
+  // document, never a job.
+  if (Status s = WriteWorkerMetricsFile(
+          (fs::path(paths.telemetry) / WorkerMetricsFileName(options.worker_id))
+              .string(),
+          MetricsRegistry::Global().Snapshot());
+      !s.ok()) {
+    THEMIS_LOG(kWarn, "fleet worker %d: %s", options.worker_id,
+               s.ToString().c_str());
+  }
   return outcome;
 }
 

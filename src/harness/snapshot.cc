@@ -1,9 +1,9 @@
 #include "src/harness/snapshot.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
+#include <string>
+#include <type_traits>
 #include <utility>
 
 #include "src/common/strings.h"
@@ -15,8 +15,7 @@ namespace themis {
 
 namespace {
 
-constexpr char kSnapshotMagic[8] = {'T', 'H', 'M', 'S', 'N', 'P', '0', '1'};
-constexpr size_t kHeaderBytes = 8 + 4 + 1 + 8 + 8;
+constexpr std::string_view kSnapshotMagic = "THMSNP01";
 
 std::string JobPrefix(size_t job_index) {
   return Sprintf("job-%zu-", job_index);
@@ -58,148 +57,71 @@ std::string FinalSnapshotFileName(size_t job_index) {
 
 Status WriteSnapshotFile(const std::string& path, SnapshotKind kind,
                          const std::string& payload) {
-  SnapshotWriter header;
-  for (char c : kSnapshotMagic) header.U8(static_cast<uint8_t>(c));
-  header.U32(kSnapshotFormatVersion);
-  header.U8(static_cast<uint8_t>(kind));
-  header.U64(payload.size());
-  header.U64(Fnv1a64(payload));
-
-  std::error_code ec;
-  std::filesystem::path target(path);
-  if (target.has_parent_path()) {
-    std::filesystem::create_directories(target.parent_path(), ec);
-    // An existing directory is fine; only a genuine failure matters, and
-    // that surfaces below when the temp file cannot be opened.
-  }
-  const std::string tmp_path = path + ".tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::Internal(
-          Sprintf("cannot open snapshot temp file %s", tmp_path.c_str()));
-    }
-    out.write(header.buffer().data(),
-              static_cast<std::streamsize>(header.buffer().size()));
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    out.flush();
-    if (!out) {
-      return Status::Internal(
-          Sprintf("short write to snapshot temp file %s", tmp_path.c_str()));
-    }
-  }
-  std::filesystem::rename(tmp_path, path, ec);
-  if (ec) {
-    return Status::Internal(Sprintf("cannot rename %s to %s: %s", tmp_path.c_str(),
-                                    path.c_str(), ec.message().c_str()));
-  }
-  return Status::Ok();
+  return WriteFramedFile(path, kSnapshotMagic, kSnapshotFormatVersion, payload,
+                         static_cast<uint8_t>(kind));
 }
 
 Result<LoadedSnapshot> ReadSnapshotFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound(Sprintf("snapshot %s cannot be opened", path.c_str()));
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (bytes.size() < kHeaderBytes) {
-    return Status::DataLoss(
-        Sprintf("snapshot %s truncated: %zu bytes, header needs %zu", path.c_str(),
-                bytes.size(), kHeaderBytes));
-  }
-  SnapshotReader header(std::string_view(bytes).substr(0, kHeaderBytes));
-  char magic[8];
-  for (char& c : magic) c = static_cast<char>(header.U8());
-  if (!std::equal(std::begin(magic), std::end(magic), std::begin(kSnapshotMagic))) {
-    return Status::DataLoss(
-        Sprintf("snapshot %s has bad magic (not a Themis snapshot)", path.c_str()));
-  }
-  uint32_t version = header.U32();
-  if (version != kSnapshotFormatVersion) {
-    return Status::DataLoss(
-        Sprintf("snapshot %s has unsupported format version %u (this build reads %u)",
-                path.c_str(), version, kSnapshotFormatVersion));
-  }
-  uint8_t kind_raw = header.U8();
-  if (kind_raw > static_cast<uint8_t>(SnapshotKind::kFinal)) {
-    return Status::DataLoss(
-        Sprintf("snapshot %s has unknown kind %u", path.c_str(), kind_raw));
-  }
-  uint64_t payload_size = header.U64();
-  uint64_t checksum = header.U64();
-  if (bytes.size() - kHeaderBytes != payload_size) {
-    return Status::DataLoss(Sprintf(
-        "snapshot %s payload size mismatch: header says %llu bytes, file has %zu",
-        path.c_str(), static_cast<unsigned long long>(payload_size),
-        bytes.size() - kHeaderBytes));
-  }
-  std::string_view payload = std::string_view(bytes).substr(kHeaderBytes);
-  uint64_t actual = Fnv1a64(payload);
-  if (actual != checksum) {
-    return Status::DataLoss(Sprintf(
-        "snapshot %s checksum mismatch: header %016llx, payload %016llx (corrupt)",
-        path.c_str(), static_cast<unsigned long long>(checksum),
-        static_cast<unsigned long long>(actual)));
-  }
+  Result<FramedPayload> framed =
+      ReadFramedFile(path, kSnapshotMagic, kSnapshotFormatVersion,
+                     static_cast<uint8_t>(SnapshotKind::kFinal));
+  if (!framed.ok()) return framed.status();
   LoadedSnapshot loaded;
-  loaded.kind = static_cast<SnapshotKind>(kind_raw);
-  loaded.payload = std::string(payload);
+  loaded.kind = static_cast<SnapshotKind>(framed->kind);
+  loaded.payload = std::move(framed->payload);
   return loaded;
 }
 
-std::vector<std::string> ListJobSnapshotPaths(const std::string& dir,
-                                              size_t job_index) {
-  std::vector<std::string> paths;
-  std::error_code ec;
-  std::filesystem::directory_iterator it(dir, ec);
-  if (ec) return paths;
+namespace {
 
-  std::string final_path;
+// Mid-campaign snapshot paths of `job_index` in `dir`, newest (highest
+// ordinal) first; empty for a missing or unreadable directory.
+std::vector<std::string> MidSnapshotsNewestFirst(const std::string& dir,
+                                                 size_t job_index) {
   std::vector<std::pair<uint64_t, std::string>> mids;
-  const std::string final_name = FinalSnapshotFileName(job_index);
-  for (const auto& entry : it) {
-    if (!entry.is_regular_file(ec)) continue;
-    const std::string name = entry.path().filename().string();
-    if (name == final_name) {
-      final_path = entry.path().string();
-      continue;
-    }
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it(dir, ec);
+       !ec && it != std::filesystem::directory_iterator(); ++it) {
     uint64_t ordinal = 0;
-    if (ParseMidOrdinal(name, job_index, &ordinal)) {
-      mids.emplace_back(ordinal, entry.path().string());
+    if (it->is_regular_file(ec) &&
+        ParseMidOrdinal(it->path().filename().string(), job_index, &ordinal)) {
+      mids.emplace_back(ordinal, it->path().string());
     }
   }
   std::sort(mids.begin(), mids.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
-  if (!final_path.empty()) paths.push_back(final_path);
+  std::vector<std::string> paths;
+  paths.reserve(mids.size());
   for (auto& [ordinal, path] : mids) paths.push_back(std::move(path));
   return paths;
 }
 
-void PruneMidSnapshots(const std::string& dir, size_t job_index, int keep) {
-  if (keep < 0) keep = 0;
+}  // namespace
+
+std::vector<std::string> ListJobSnapshotPaths(const std::string& dir,
+                                              size_t job_index) {
+  std::vector<std::string> paths;
+  const std::string final_path =
+      (std::filesystem::path(dir) / FinalSnapshotFileName(job_index)).string();
   std::error_code ec;
-  std::filesystem::directory_iterator it(dir, ec);
-  if (ec) return;
-  std::vector<std::pair<uint64_t, std::string>> mids;
-  for (const auto& entry : it) {
-    if (!entry.is_regular_file(ec)) continue;
-    uint64_t ordinal = 0;
-    if (ParseMidOrdinal(entry.path().filename().string(), job_index, &ordinal)) {
-      mids.emplace_back(ordinal, entry.path().string());
-    }
+  if (std::filesystem::is_regular_file(final_path, ec)) {
+    paths.push_back(final_path);
   }
-  std::sort(mids.begin(), mids.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  for (size_t i = static_cast<size_t>(keep); i < mids.size(); ++i) {
-    std::filesystem::remove(mids[i].second, ec);
+  for (std::string& path : MidSnapshotsNewestFirst(dir, job_index)) {
+    paths.push_back(std::move(path));
+  }
+  return paths;
+}
+
+void PruneMidSnapshots(const std::string& dir, size_t job_index, int keep) {
+  std::vector<std::string> mids = MidSnapshotsNewestFirst(dir, job_index);
+  std::error_code ec;
+  for (size_t i = static_cast<size_t>(std::max(keep, 0)); i < mids.size(); ++i) {
+    std::filesystem::remove(mids[i], ec);
   }
 }
 
-void WriteSnapshotIdentity(SnapshotWriter& writer, std::string_view strategy,
-                           const CampaignConfig& config) {
-  writer.Str(strategy);
+void SaveCampaignBehavior(SnapshotWriter& writer, const CampaignConfig& config) {
   writer.U8(static_cast<uint8_t>(config.flavor));
   writer.U64(config.seed);
   writer.I64(config.budget);
@@ -217,15 +139,59 @@ void WriteSnapshotIdentity(SnapshotWriter& writer, std::string_view strategy,
   writer.F64(config.transition_weight);
 }
 
+void RestoreCampaignBehavior(SnapshotReader& reader, CampaignConfig* config) {
+  uint8_t flavor = reader.U8();
+  if (flavor > static_cast<uint8_t>(Flavor::kGeo)) {
+    reader.Fail(Sprintf("campaign config has unknown flavor %u", flavor));
+  }
+  config->flavor = static_cast<Flavor>(flavor);
+  config->seed = reader.U64();
+  config->budget = reader.I64();
+  config->threshold_t = reader.F64();
+  config->weights.computation = reader.F64();
+  config->weights.network = reader.F64();
+  config->weights.storage = reader.F64();
+  uint8_t fault_set = reader.U8();
+  if (fault_set > static_cast<uint8_t>(FaultSet::kNone)) {
+    reader.Fail(Sprintf("campaign config has unknown fault set %u", fault_set));
+  }
+  config->fault_set = static_cast<FaultSet>(fault_set);
+  config->initial_files = static_cast<int>(reader.I64());
+  config->coverage_sample_period = reader.I64();
+  config->storage_nodes = static_cast<int>(reader.I64());
+  config->meta_nodes = static_cast<int>(reader.I64());
+  config->env_faults = reader.Bool();
+  config->collect_telemetry = reader.Bool();
+  config->transition_weight = reader.F64();
+}
+
+void WriteSnapshotIdentity(SnapshotWriter& writer, std::string_view strategy,
+                           const CampaignConfig& config) {
+  writer.Str(strategy);
+  SaveCampaignBehavior(writer, config);
+}
+
 namespace {
 
-// Per-field identity checks with messages naming the field and both values.
-Status IdentityMismatch(const char* field, const std::string& saved,
-                        const std::string& current) {
-  return Status::FailedPrecondition(
-      Sprintf("snapshot was taken by a different campaign: %s was %s, resuming "
-              "campaign has %s",
-              field, saved.c_str(), current.c_str()));
+// Identity field values as mismatch messages print them.
+template <typename T>
+std::string ShowField(const T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return value ? "true" : "false";
+  } else if constexpr (std::is_same_v<T, double>) {
+    return Sprintf("%g", value);
+  } else if constexpr (std::is_same_v<T, Flavor>) {
+    return std::string(FlavorName(value));
+  } else if constexpr (std::is_enum_v<T>) {
+    return Sprintf("%u", static_cast<unsigned>(value));
+  } else if constexpr (std::is_same_v<T, LoadVarianceWeights>) {
+    return Sprintf("(%g, %g, %g)", value.computation, value.network,
+                   value.storage);
+  } else if constexpr (std::is_integral_v<T>) {
+    return std::to_string(value);
+  } else {
+    return std::string(value);
+  }
 }
 
 }  // namespace
@@ -233,93 +199,38 @@ Status IdentityMismatch(const char* field, const std::string& saved,
 Status CheckSnapshotIdentity(SnapshotReader& reader, std::string_view strategy,
                              const CampaignConfig& config) {
   std::string saved_strategy = reader.Str();
-  uint8_t saved_flavor = reader.U8();
-  uint64_t saved_seed = reader.U64();
-  int64_t saved_budget = reader.I64();
-  double saved_threshold = reader.F64();
-  double saved_w_comp = reader.F64();
-  double saved_w_net = reader.F64();
-  double saved_w_sto = reader.F64();
-  uint8_t saved_fault_set = reader.U8();
-  int64_t saved_initial_files = reader.I64();
-  int64_t saved_sample_period = reader.I64();
-  int64_t saved_storage_nodes = reader.I64();
-  int64_t saved_meta_nodes = reader.I64();
-  bool saved_env_faults = reader.Bool();
-  bool saved_telemetry = reader.Bool();
-  double saved_transition_weight = reader.F64();
+  CampaignConfig saved;
+  RestoreCampaignBehavior(reader, &saved);
   if (Status status = reader.status(); !status.ok()) return status;
 
-  if (saved_strategy != strategy) {
-    return IdentityMismatch("strategy", saved_strategy, std::string(strategy));
-  }
-  if (saved_flavor != static_cast<uint8_t>(config.flavor)) {
-    return IdentityMismatch(
-        "flavor", Sprintf("%u", saved_flavor),
-        std::string(FlavorName(config.flavor)));
-  }
-  if (saved_seed != config.seed) {
-    return IdentityMismatch("seed",
-                            Sprintf("%llu", static_cast<unsigned long long>(saved_seed)),
-                            Sprintf("%llu", static_cast<unsigned long long>(config.seed)));
-  }
-  if (saved_budget != config.budget) {
-    return IdentityMismatch(
-        "budget", Sprintf("%lld", static_cast<long long>(saved_budget)),
-        Sprintf("%lld", static_cast<long long>(config.budget)));
-  }
-  if (saved_threshold != config.threshold_t) {
-    return IdentityMismatch("threshold_t", Sprintf("%g", saved_threshold),
-                            Sprintf("%g", config.threshold_t));
-  }
-  if (saved_w_comp != config.weights.computation ||
-      saved_w_net != config.weights.network ||
-      saved_w_sto != config.weights.storage) {
-    return IdentityMismatch(
-        "variance weights",
-        Sprintf("(%g, %g, %g)", saved_w_comp, saved_w_net, saved_w_sto),
-        Sprintf("(%g, %g, %g)", config.weights.computation, config.weights.network,
-                config.weights.storage));
-  }
-  if (saved_fault_set != static_cast<uint8_t>(config.fault_set)) {
-    return IdentityMismatch("fault_set", Sprintf("%u", saved_fault_set),
-                            Sprintf("%u", static_cast<unsigned>(config.fault_set)));
-  }
-  if (saved_initial_files != config.initial_files) {
-    return IdentityMismatch(
-        "initial_files", Sprintf("%lld", static_cast<long long>(saved_initial_files)),
-        Sprintf("%d", config.initial_files));
-  }
-  if (saved_sample_period != config.coverage_sample_period) {
-    return IdentityMismatch(
-        "coverage_sample_period",
-        Sprintf("%lld", static_cast<long long>(saved_sample_period)),
-        Sprintf("%lld", static_cast<long long>(config.coverage_sample_period)));
-  }
-  if (saved_storage_nodes != config.storage_nodes) {
-    return IdentityMismatch(
-        "storage_nodes", Sprintf("%lld", static_cast<long long>(saved_storage_nodes)),
-        Sprintf("%d", config.storage_nodes));
-  }
-  if (saved_meta_nodes != config.meta_nodes) {
-    return IdentityMismatch(
-        "meta_nodes", Sprintf("%lld", static_cast<long long>(saved_meta_nodes)),
-        Sprintf("%d", config.meta_nodes));
-  }
-  if (saved_env_faults != config.env_faults) {
-    return IdentityMismatch("env_faults", saved_env_faults ? "true" : "false",
-                            config.env_faults ? "true" : "false");
-  }
-  if (saved_telemetry != config.collect_telemetry) {
-    return IdentityMismatch("collect_telemetry", saved_telemetry ? "true" : "false",
-                            config.collect_telemetry ? "true" : "false");
-  }
-  if (saved_transition_weight != config.transition_weight) {
-    return IdentityMismatch("transition_weight",
-                            Sprintf("%g", saved_transition_weight),
-                            Sprintf("%g", config.transition_weight));
-  }
-  return Status::Ok();
+  // The first differing field, named with both values.
+  Status mismatch = Status::Ok();
+  auto check = [&mismatch](const char* field, const auto& saved_value,
+                           const auto& current_value) {
+    if (mismatch.ok() && !(saved_value == current_value)) {
+      mismatch = Status::FailedPrecondition(Sprintf(
+          "snapshot was taken by a different campaign: %s was %s, resuming "
+          "campaign has %s",
+          field, ShowField(saved_value).c_str(),
+          ShowField(current_value).c_str()));
+    }
+  };
+  check("strategy", std::string_view(saved_strategy), strategy);
+  check("flavor", saved.flavor, config.flavor);
+  check("seed", saved.seed, config.seed);
+  check("budget", saved.budget, config.budget);
+  check("threshold_t", saved.threshold_t, config.threshold_t);
+  check("variance weights", saved.weights, config.weights);
+  check("fault_set", saved.fault_set, config.fault_set);
+  check("initial_files", saved.initial_files, config.initial_files);
+  check("coverage_sample_period", saved.coverage_sample_period,
+        config.coverage_sample_period);
+  check("storage_nodes", saved.storage_nodes, config.storage_nodes);
+  check("meta_nodes", saved.meta_nodes, config.meta_nodes);
+  check("env_faults", saved.env_faults, config.env_faults);
+  check("collect_telemetry", saved.collect_telemetry, config.collect_telemetry);
+  check("transition_weight", saved.transition_weight, config.transition_weight);
+  return mismatch;
 }
 
 void SaveFailureReport(SnapshotWriter& writer, const FailureReport& report) {

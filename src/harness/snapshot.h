@@ -22,10 +22,11 @@
 //   21      8     FNV-1a 64 checksum of the payload (u64 LE)
 //   29      ...   payload (SnapshotWriter encoding)
 //
-// Files are written atomically (temp file + rename), so a crash mid-write
-// can only leave a stray ".tmp" file, never a half-written ".ckpt". Readers
-// validate magic, version, size and checksum before any field is parsed;
-// every corruption mode maps to a descriptive kDataLoss Status.
+// This is the frame of src/common/snapshot_io.h with its kind byte. Files
+// are written atomically (temp file + rename), so a crash mid-write can only
+// leave a stray ".tmp" file, never a half-written ".ckpt". Readers validate
+// magic, version, kind, size and checksum before any field is parsed; every
+// corruption mode maps to a descriptive kDataLoss Status.
 //
 // Mid-campaign payloads begin with an identity fingerprint (strategy +
 // the behavior-affecting campaign config fields) so resuming under a
@@ -58,7 +59,7 @@ struct LoadedSnapshot {
   std::string payload;
 };
 
-// Encodes header + payload and writes it atomically (tmp + rename).
+// Frames the payload (magic "THMSNP01", kind byte) and writes it atomically.
 Status WriteSnapshotFile(const std::string& path, SnapshotKind kind,
                          const std::string& payload);
 
@@ -80,9 +81,16 @@ std::vector<std::string> ListJobSnapshotPaths(const std::string& dir,
 // Removes mid-campaign snapshots of `job_index` beyond the newest `keep`.
 void PruneMidSnapshots(const std::string& dir, size_t job_index, int keep);
 
+// The behavior-affecting CampaignConfig fields (flavor through
+// transition_weight) in their one on-disk order, shared by the snapshot
+// identity and the fleet job spec. Restore fails the reader on an
+// out-of-range flavor or fault set.
+void SaveCampaignBehavior(SnapshotWriter& writer, const CampaignConfig& config);
+void RestoreCampaignBehavior(SnapshotReader& reader, CampaignConfig* config);
+
 // Identity fingerprint at the head of every payload: the strategy name and
-// each behavior-affecting CampaignConfig field. Check fails with a
-// field-level message when the resuming campaign's configuration differs.
+// the behavior fields above. Check fails with a field-level message naming
+// both values when the resuming campaign's configuration differs.
 void WriteSnapshotIdentity(SnapshotWriter& writer, std::string_view strategy,
                            const CampaignConfig& config);
 Status CheckSnapshotIdentity(SnapshotReader& reader, std::string_view strategy,

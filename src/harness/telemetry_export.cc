@@ -1,13 +1,13 @@
 #include "src/harness/telemetry_export.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <utility>
 #include <vector>
 
+#include "src/common/snapshot_io.h"
 #include "src/common/strings.h"
 #include "src/dfs/types.h"
 #include "src/telemetry/event_log.h"
-#include "src/telemetry/metrics.h"
 
 namespace themis {
 
@@ -52,19 +52,6 @@ std::vector<const JobResult*> SortedJobs(const MatrixResult& result) {
   return jobs;
 }
 
-Status WriteWholeFile(const std::string& path, const std::string& content) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return Status::Unavailable(Sprintf("cannot open %s for writing", path.c_str()));
-  }
-  size_t written = std::fwrite(content.data(), 1, content.size(), file);
-  int close_rc = std::fclose(file);
-  if (written != content.size() || close_rc != 0) {
-    return Status::Unavailable(Sprintf("short write to %s", path.c_str()));
-  }
-  return Status::Ok();
-}
-
 std::string HistogramJson(const HistogramSnapshot& snapshot) {
   std::string out = Sprintf(
       "{\"count\":%llu,\"sum\":%.17g,\"mean\":%.6g,\"p50\":%.6g,\"p90\":%.6g,"
@@ -101,15 +88,12 @@ std::string RenderTelemetryJsonl(const MatrixResult& result) {
 }
 
 Status WriteTelemetryJsonl(const MatrixResult& result, const std::string& path) {
-  return WriteWholeFile(path, RenderTelemetryJsonl(result));
+  return WriteFileAtomically(path, RenderTelemetryJsonl(result));
 }
 
-namespace {
-
-// The counters/gauges/histograms tail shared by both summary variants;
-// `head` must already open the object and end with ",\n".
-Status WriteSummaryWithHead(std::string out, const std::string& path) {
-  MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+std::string RenderMetricsSummaryJson(std::string head,
+                                     const MetricsSnapshot& snapshot) {
+  std::string out = std::move(head);
   out += "  \"counters\": {";
   bool first = true;
   for (const auto& [name, value] : snapshot.counters) {
@@ -134,10 +118,8 @@ Status WriteSummaryWithHead(std::string out, const std::string& path) {
     first = false;
   }
   out += first ? "}\n}\n" : "\n  }\n}\n";
-  return WriteWholeFile(path, out);
+  return out;
 }
-
-}  // namespace
 
 Status WriteMetricsSummaryJson(const std::string& bench_name,
                                const MatrixResult& result,
@@ -150,14 +132,18 @@ Status WriteMetricsSummaryJson(const std::string& bench_name,
       result.threads, result.wall_seconds,
       static_cast<unsigned long long>(result.overall.total_ops),
       result.overall.DistinctTruePositives(), result.overall.false_positives);
-  return WriteSummaryWithHead(std::move(head), path);
+  return WriteFileAtomically(
+      path, RenderMetricsSummaryJson(std::move(head),
+                                     MetricsRegistry::Global().Snapshot()));
 }
 
 Status WriteMetricsSummaryJson(const std::string& bench_name, double wall_seconds,
                                const std::string& path) {
   std::string head = Sprintf("{\n  \"bench\": \"%s\",\n  \"wall_seconds\": %.6f,\n",
                              JsonEscape(bench_name).c_str(), wall_seconds);
-  return WriteSummaryWithHead(std::move(head), path);
+  return WriteFileAtomically(
+      path, RenderMetricsSummaryJson(std::move(head),
+                                     MetricsRegistry::Global().Snapshot()));
 }
 
 std::string RenderCampaignSummaryJson(const MatrixResult& result) {
@@ -212,7 +198,7 @@ std::string RenderCampaignSummaryJson(const MatrixResult& result) {
 }
 
 Status WriteCampaignSummaryJson(const MatrixResult& result, const std::string& path) {
-  return WriteWholeFile(path, RenderCampaignSummaryJson(result));
+  return WriteFileAtomically(path, RenderCampaignSummaryJson(result));
 }
 
 }  // namespace themis

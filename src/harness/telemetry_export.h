@@ -10,6 +10,9 @@
 //   * BENCH_*.json metrics summaries (WriteMetricsSummaryJson): a snapshot
 //     of the global metrics registry plus matrix totals, machine-readable so
 //     perf trajectories can be tracked across runs.
+//
+// Every file is written atomically (WriteFileAtomically: temp file, then
+// rename).
 
 #ifndef SRC_HARNESS_TELEMETRY_EXPORT_H_
 #define SRC_HARNESS_TELEMETRY_EXPORT_H_
@@ -18,6 +21,7 @@
 
 #include "src/common/status.h"
 #include "src/harness/runner.h"
+#include "src/telemetry/metrics.h"
 
 namespace themis {
 
@@ -41,6 +45,12 @@ Status WriteMetricsSummaryJson(const std::string& bench_name,
 // totals are still visible through the runner.* counters.
 Status WriteMetricsSummaryJson(const std::string& bench_name, double wall_seconds,
                                const std::string& path);
+
+// The renderer behind both summaries (and the fleet's merged metrics):
+// `head` opens the object and ends with ",\n"; the snapshot's counters,
+// gauges and histograms follow.
+std::string RenderMetricsSummaryJson(std::string head,
+                                     const MetricsSnapshot& snapshot);
 
 // Deterministic campaign summary: one JSON document with a per-job record
 // (strategy, flavor, seed, result counters and the CampaignResult digest)

@@ -32,6 +32,8 @@ struct LoadVarianceWeights {
   double computation = 1.0 / 3.0;
   double network = 1.0 / 3.0;
   double storage = 1.0 / 3.0;
+
+  bool operator==(const LoadVarianceWeights&) const = default;
 };
 
 struct LoadVarianceSnapshot {

@@ -4,9 +4,6 @@
 
 namespace themis {
 
-StatesMonitor::StatesMonitor(LoadVarianceWeights weights, size_t history_limit)
-    : weights_(weights), history_limit_(history_limit) {}
-
 LoadVarianceSnapshot StatesMonitor::Sample(DfsInterface& dfs) {
   if (!force_scan_ && dfs.SnapshotLoadStats(latest_stats_)) {
     last_sample_streamed_ = true;
@@ -20,7 +17,6 @@ LoadVarianceSnapshot StatesMonitor::Sample(DfsInterface& dfs) {
     latest_stats_ = model_.OracleStats(sample_scratch_);
     latest_ = model_.UpdateFromStats(latest_stats_);
   }
-  PushHistory(latest_);
   return latest_;
 }
 
@@ -33,19 +29,6 @@ LoadVarianceSnapshot StatesMonitor::Peek(const DfsInterface& dfs) const {
   // (OracleStats rebases previous_), so the best side-effect-free answer is
   // the last committed snapshot.
   return latest_;
-}
-
-void StatesMonitor::PushHistory(const LoadVarianceSnapshot& snapshot) {
-  if (history_.size() >= history_limit_) {
-    // Decimate: drop every other entry to keep long campaigns bounded.
-    std::vector<LoadVarianceSnapshot> kept;
-    kept.reserve(history_.size() / 2 + 1);
-    for (size_t i = 0; i < history_.size(); i += 2) {
-      kept.push_back(history_[i]);
-    }
-    history_ = std::move(kept);
-  }
-  history_.push_back(snapshot);
 }
 
 void StatesMonitor::ResetWindow() { model_.Reset(); }

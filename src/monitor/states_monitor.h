@@ -1,6 +1,5 @@
-// The States Monitor (paper Fig. 9): observes the DFS's load data, feeds the
-// Load Variance Model, and keeps a bounded history of snapshots for
-// trend analysis and reporting.
+// The States Monitor (paper Fig. 9): observes the DFS's load data and feeds
+// the Load Variance Model.
 //
 // Observation is push-based (DESIGN.md §13): the cluster streams windowed
 // load aggregates and Sample() reads them in O(1) via SnapshotLoadStats,
@@ -21,7 +20,7 @@ namespace themis {
 
 class StatesMonitor {
  public:
-  explicit StatesMonitor(LoadVarianceWeights weights, size_t history_limit = 4096);
+  explicit StatesMonitor(LoadVarianceWeights weights) : weights_(weights) {}
 
   // Observes the DFS, folds the reading into the variance model and closes
   // the rate window. Non-const: closing the window mutates the DFS's
@@ -34,7 +33,6 @@ class StatesMonitor {
   LoadVarianceSnapshot Peek(const DfsInterface& dfs) const;
 
   const LoadVarianceWeights& weights() const { return weights_; }
-  const std::vector<LoadVarianceSnapshot>& history() const { return history_; }
   const LoadVarianceSnapshot& latest() const { return latest_; }
   // Raw aggregates behind latest() — variance numerators for feedback.
   const LoadStatsSnapshot& latest_stats() const { return latest_stats_; }
@@ -51,19 +49,14 @@ class StatesMonitor {
   void ResetWindow();
 
   // Checkpointing (DESIGN.md §11): the variance model window and the latest
-  // snapshot. history_ is a write-only diagnostic buffer (nothing reads it
-  // back on the campaign path) and is deliberately NOT snapshotted; ditto
-  // latest_stats_, which only feeds live per-op peeks.
+  // snapshot. latest_stats_ only feeds live per-op peeks and is
+  // deliberately NOT snapshotted.
   void SaveState(SnapshotWriter& writer) const;
   Status RestoreState(SnapshotReader& reader);
 
  private:
-  void PushHistory(const LoadVarianceSnapshot& snapshot);
-
   LoadVarianceWeights weights_;
   LoadVarianceModel model_;
-  std::vector<LoadVarianceSnapshot> history_;
-  size_t history_limit_;
   LoadVarianceSnapshot latest_;
   LoadStatsSnapshot latest_stats_;
   bool force_scan_ = false;

@@ -56,22 +56,25 @@ double HistogramSnapshot::Quantile(double q) const {
   }
   q = std::clamp(q, 0.0, 1.0);
   double target = q * static_cast<double>(count);
+  double estimate = BucketBound(kHistogramBuckets - 2);
   uint64_t seen = 0;
   for (size_t i = 0; i < kHistogramBuckets; ++i) {
     uint64_t in_bucket = buckets[i];
     if (static_cast<double>(seen + in_bucket) >= target && in_bucket > 0) {
       double lo = i == 0 ? 0.0 : BucketBound(i - 1);
       double hi = BucketBound(i);
-      if (std::isinf(hi)) {
-        return lo;  // overflow bucket has no upper edge to interpolate to
-      }
+      // The overflow bucket has no upper edge to interpolate to.
       double fraction = (target - static_cast<double>(seen)) /
                         static_cast<double>(in_bucket);
-      return lo + fraction * (hi - lo);
+      estimate = std::isinf(hi) ? lo : lo + fraction * (hi - lo);
+      break;
     }
     seen += in_bucket;
   }
-  return BucketBound(kHistogramBuckets - 2);
+  // Interpolation spreads a bucket's samples over its whole width; the
+  // recorded extremes bound every true quantile (min > max only after a NaN
+  // sample).
+  return min <= max ? std::clamp(estimate, min, max) : estimate;
 }
 
 #if !defined(THEMIS_TELEMETRY_DISABLED)
@@ -86,6 +89,23 @@ size_t BucketFor(double value) {
   return kHistogramBuckets - 1;
 }
 
+// Folds `value` into a double kept as bits, by CAS. Contention is already
+// absorbed by the shard striping, so the loop almost never retries, and a
+// fold that leaves the value unchanged (min/max) skips the write.
+template <typename Fold>
+void FoldDouble(std::atomic<uint64_t>& bits, double value, Fold fold) {
+  uint64_t observed = bits.load(std::memory_order_relaxed);
+  while (true) {
+    uint64_t desired =
+        std::bit_cast<uint64_t>(fold(std::bit_cast<double>(observed), value));
+    if (desired == observed ||
+        bits.compare_exchange_weak(observed, desired,
+                                   std::memory_order_relaxed)) {
+      return;
+    }
+  }
+}
+
 }  // namespace
 #endif
 
@@ -94,14 +114,11 @@ void Histogram::Record(double value) {
   Shard& shard = shards_[MetricShardIndex()];
   shard.count.fetch_add(1, std::memory_order_relaxed);
   shard.buckets[BucketFor(value)].fetch_add(1, std::memory_order_relaxed);
-  // The sum is a double accumulated by CAS; contention is already absorbed by
-  // the shard striping, so the loop almost never retries.
-  uint64_t observed = shard.sum_bits.load(std::memory_order_relaxed);
-  uint64_t desired;
-  do {
-    desired = std::bit_cast<uint64_t>(std::bit_cast<double>(observed) + value);
-  } while (!shard.sum_bits.compare_exchange_weak(observed, desired,
-                                                 std::memory_order_relaxed));
+  FoldDouble(shard.sum_bits, value, [](double a, double b) { return a + b; });
+  FoldDouble(shard.min_bits, value,
+             [](double a, double b) { return std::min(a, b); });
+  FoldDouble(shard.max_bits, value,
+             [](double a, double b) { return std::max(a, b); });
 #else
   (void)value;
 #endif
@@ -110,9 +127,15 @@ void Histogram::Record(double value) {
 HistogramSnapshot Histogram::Snapshot() const {
   HistogramSnapshot out;
 #if !defined(THEMIS_TELEMETRY_DISABLED)
+  out.min = std::numeric_limits<double>::infinity();
+  out.max = -std::numeric_limits<double>::infinity();
   for (const Shard& shard : shards_) {
     out.count += shard.count.load(std::memory_order_relaxed);
     out.sum += std::bit_cast<double>(shard.sum_bits.load(std::memory_order_relaxed));
+    out.min = std::min(
+        out.min, std::bit_cast<double>(shard.min_bits.load(std::memory_order_relaxed)));
+    out.max = std::max(
+        out.max, std::bit_cast<double>(shard.max_bits.load(std::memory_order_relaxed)));
     for (size_t i = 0; i < kHistogramBuckets; ++i) {
       out.buckets[i] += shard.buckets[i].load(std::memory_order_relaxed);
     }

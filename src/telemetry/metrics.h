@@ -19,8 +19,10 @@
 #define SRC_TELEMETRY_METRICS_H_
 
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
@@ -101,12 +103,16 @@ inline constexpr size_t kHistogramBuckets = 16;
 struct HistogramSnapshot {
   uint64_t count = 0;
   double sum = 0.0;
+  // Smallest and largest recorded sample; unbounded when unknown.
+  double min = -std::numeric_limits<double>::infinity();
+  double max = std::numeric_limits<double>::infinity();
   uint64_t buckets[kHistogramBuckets] = {};
 
   double mean() const { return count > 0 ? sum / static_cast<double>(count) : 0.0; }
   // Upper bound of bucket i (+inf for the last); shared fixed layout.
   static double BucketBound(size_t i);
-  // Linear-interpolated quantile estimate from the bucket counts, q in [0,1].
+  // Linear-interpolated quantile estimate from the bucket counts, q in [0,1],
+  // clamped to [min, max].
   double Quantile(double q) const;
 };
 
@@ -121,6 +127,10 @@ class Histogram {
   struct alignas(64) Shard {
     std::atomic<uint64_t> count{0};
     std::atomic<uint64_t> sum_bits{0};  // double bits, CAS-accumulated
+    std::atomic<uint64_t> min_bits{
+        std::bit_cast<uint64_t>(std::numeric_limits<double>::infinity())};
+    std::atomic<uint64_t> max_bits{
+        std::bit_cast<uint64_t>(-std::numeric_limits<double>::infinity())};
     std::atomic<uint64_t> buckets[kHistogramBuckets]{};
   };
   Shard shards_[kMetricShards];

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -24,7 +25,8 @@
 #include "src/core/opseq.h"
 #include "src/dfs/operation.h"
 #include "src/fleet/exchange.h"
-#include "src/fleet/fleet_io.h"
+#include "src/fleet/work_queue.h"
+#include "src/telemetry/metrics.h"
 
 namespace themis {
 namespace {
@@ -135,18 +137,19 @@ struct CorruptionCase {
   void (*corrupt)(std::string* bytes);
 };
 
+const CorruptionCase kCases[] = {
+    {"foreign magic", [](std::string* b) { (*b)[0] = 'X'; }},
+    {"stale version", [](std::string* b) { (*b)[8] = 99; }},
+    {"payload bit flip", [](std::string* b) { (*b)[40] ^= 0x20; }},
+    {"checksum bit flip", [](std::string* b) { (*b)[20] ^= 0x01; }},
+    {"truncated payload", [](std::string* b) { b->resize(b->size() - 5); }},
+    {"truncated header", [](std::string* b) { b->resize(10); }},
+    {"lying length field",
+     [](std::string* b) { (*b)[12] = static_cast<char>((*b)[12] + 1); }},
+    {"trailing garbage", [](std::string* b) { b->append("extra"); }},
+};
+
 TEST(FleetCorpusTest, EveryCorruptionModeIsRejected) {
-  const CorruptionCase kCases[] = {
-      {"foreign magic", [](std::string* b) { (*b)[0] = 'X'; }},
-      {"stale version", [](std::string* b) { (*b)[8] = 99; }},
-      {"payload bit flip", [](std::string* b) { (*b)[40] ^= 0x20; }},
-      {"checksum bit flip", [](std::string* b) { (*b)[20] ^= 0x01; }},
-      {"truncated payload", [](std::string* b) { b->resize(b->size() - 5); }},
-      {"truncated header", [](std::string* b) { b->resize(10); }},
-      {"lying length field",
-       [](std::string* b) { (*b)[12] = static_cast<char>((*b)[12] + 1); }},
-      {"trailing garbage", [](std::string* b) { b->append("extra"); }},
-  };
   for (const CorruptionCase& test_case : kCases) {
     std::string dir = FreshDir("corrupt");
     CorpusSeed seed = TestSeed(14);
@@ -159,6 +162,61 @@ TEST(FleetCorpusTest, EveryCorruptionModeIsRejected) {
     WriteAll(path, bytes);
     Result<CorpusSeed> loaded = ReadSeedFile(path);
     EXPECT_FALSE(loaded.ok()) << "corruption not caught: " << test_case.name;
+  }
+}
+
+// The same corruption modes through the public readers of every other
+// framed fleet record: each one is a kDataLoss naming the file.
+TEST(FleetCorpusTest, EveryFramedKindRejectsEveryCorruptionMode) {
+  CampaignJob job;
+  job.index = 4;
+  job.strategy = "Themis";
+  job.repetition = 1;
+  FleetDoneRecord record;
+  record.job = job;
+  record.worker_id = 2;
+  MetricsSnapshot metrics;
+  metrics.counters["fleet.test.counter"] = 7;
+  metrics.gauges["fleet.test.gauge"] = -3;
+  using Io = std::function<Status(const std::string&)>;
+  const struct {
+    const char* name;
+    Io write;
+    Io read;
+  } kKinds[] = {
+      {"job spec",
+       [&](const std::string& path) { return WriteJobSpecFile(path, job); },
+       [](const std::string& path) { return ReadJobSpecFile(path).status(); }},
+      {"done record",
+       [&](const std::string& path) {
+         return WriteDoneRecordFile(path, record);
+       },
+       [](const std::string& path) {
+         return ReadDoneRecordFile(path).status();
+       }},
+      {"worker metrics",
+       [&](const std::string& path) {
+         return WriteWorkerMetricsFile(path, metrics);
+       },
+       [](const std::string& path) {
+         return ReadWorkerMetricsFile(path).status();
+       }},
+  };
+  for (const auto& kind : kKinds) {
+    for (const CorruptionCase& test_case : kCases) {
+      std::string path = (fs::path(FreshDir("kinds")) / "record").string();
+      ASSERT_TRUE(kind.write(path).ok()) << kind.name;
+      ASSERT_TRUE(kind.read(path).ok()) << kind.name;
+      std::string bytes = ReadAll(path);
+      ASSERT_GT(bytes.size(), 45u) << kind.name;
+      test_case.corrupt(&bytes);
+      WriteAll(path, bytes);
+      Status status = kind.read(path);
+      EXPECT_EQ(status.code(), StatusCode::kDataLoss)
+          << kind.name << ", " << test_case.name << ": " << status.ToString();
+      EXPECT_NE(status.message().find(path), std::string::npos)
+          << kind.name << ", " << test_case.name << ": " << status.ToString();
+    }
   }
 }
 

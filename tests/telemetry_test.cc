@@ -98,6 +98,31 @@ TEST(Metrics, HistogramQuantilesAreOrdered) {
   EXPECT_NEAR(snapshot.mean(), 500.5, 1e-9);
 }
 
+// Power-of-4 buckets are wide: interpolating inside (65536, 262144] alone
+// would report a lone 71,305 sample as 163,840.
+TEST(Metrics, HistogramOneSampleQuantilesAreTheSample) {
+  THEMIS_SKIP_IF_TELEMETRY_DISABLED();
+  Histogram histogram;
+  histogram.Record(71305.0);
+  HistogramSnapshot snapshot = histogram.Snapshot();
+  EXPECT_DOUBLE_EQ(snapshot.Quantile(0.5), 71305.0);
+  EXPECT_DOUBLE_EQ(snapshot.Quantile(0.99), 71305.0);
+}
+
+TEST(Metrics, HistogramQuantilesStayInsideTheSampleRange) {
+  THEMIS_SKIP_IF_TELEMETRY_DISABLED();
+  Histogram histogram;
+  histogram.Record(100.0);  // both in bucket (64, 256]
+  histogram.Record(200.0);
+  HistogramSnapshot snapshot = histogram.Snapshot();
+  EXPECT_DOUBLE_EQ(snapshot.min, 100.0);
+  EXPECT_DOUBLE_EQ(snapshot.max, 200.0);
+  for (double q : {0.0, 0.1, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_GE(snapshot.Quantile(q), 100.0) << q;
+    EXPECT_LE(snapshot.Quantile(q), 200.0) << q;
+  }
+}
+
 TEST(Metrics, RegistryHandlesAreStable) {
   THEMIS_SKIP_IF_TELEMETRY_DISABLED();
   MetricsRegistry& registry = MetricsRegistry::Global();
