@@ -15,10 +15,12 @@ timing-dependent), so CI validates it by invariants instead of byte-equality:
   restart proof  with --expect-restarts N, at least one worker's heartbeat
                  stream shows > N distinct pids (the supervisor respawned it)
 
-This is an independent re-implementation of the frame format (fleet_io.h:
-8-byte magic, u32 LE version, u64 LE payload size, u64 LE FNV-1a64 payload
-checksum, then the payload) so a framing bug in the C++ reader/writer pair
-cannot self-certify.
+This is an independent re-implementation of the frame format
+(src/common/snapshot_io.h's WriteFramedFile: 8-byte magic, u32 LE version,
+u64 LE payload size, u64 LE FNV-1a64 payload checksum, then the payload) so
+a framing bug in the C++ reader/writer pair cannot self-certify. The
+versions are src/fleet/corpus.h's kCorpusSeedFormatVersion and
+src/fleet/work_queue.h's kFleetFileFormatVersion.
 
 Usage: check_fleet_invariants.py FLEET_DIR [--corpus-dir DIR]
            [--expect-jobs N] [--expect-restarts N]
@@ -35,7 +37,7 @@ SEED_MAGIC = b"THMSEED1"
 RESULT_MAGIC = b"THMSRES1"
 FRAME_HEADER = 28
 SEED_VERSION = 1
-RESULT_VERSION = 1
+RESULT_VERSION = 2
 
 _errors = []
 

@@ -17,11 +17,13 @@ bool SeedPool::Insert(OpSeq seq, double score, uint64_t fingerprint,
                                     return a.score < b.score;
                                   });
     if (worst != seeds_.end() && worst->score >= score) {
+      ++counts_.dropped;
       THEMIS_COUNTER_INC("seed_pool.add_dropped", 1);
       return false;  // the pool is full of better seeds
     }
     if (worst != seeds_.end()) {
       seeds_.erase(worst);
+      ++counts_.evictions;
       THEMIS_COUNTER_INC("seed_pool.evictions", 1);
     }
   }
@@ -41,12 +43,14 @@ void SeedPool::Add(OpSeq seq, double score) {
   // A dropped insert still counts the attempt, matching the pre-fleet
   // accounting: adds = attempts that passed the eviction gate.
   if (Insert(std::move(seq), score, fingerprint, /*imported=*/false)) {
+    ++counts_.adds;
     THEMIS_COUNTER_INC("seed_pool.adds", 1);
   }
 }
 
 bool SeedPool::ImportSeed(OpSeq seq, double score, uint64_t fingerprint) {
   if (seq.empty()) {
+    ++counts_.import_rejected;
     THEMIS_COUNTER_INC("seed_pool.import_rejected", 1);
     return false;
   }
@@ -60,12 +64,14 @@ bool SeedPool::ImportSeed(OpSeq seq, double score, uint64_t fingerprint) {
         break;
       }
     }
+    ++counts_.import_dups;
     THEMIS_COUNTER_INC("seed_pool.import_dups", 1);
     return false;
   }
   if (!Insert(std::move(seq), score, fingerprint, /*imported=*/true)) {
     return false;
   }
+  ++counts_.imports;
   THEMIS_COUNTER_INC("seed_pool.imports", 1);
   return true;
 }

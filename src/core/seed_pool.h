@@ -23,6 +23,17 @@ struct Seed {
   bool imported = false;     // arrived via fleet corpus exchange, not Add()
 };
 
+// What Add/ImportSeed did over this object's lifetime; checkpoints do not
+// carry them. The seed_pool.* telemetry counters mirror these.
+struct SeedPoolCounts {
+  uint64_t adds = 0;             // Add calls whose seed entered the pool
+  uint64_t imports = 0;          // ImportSeed calls whose seed entered it
+  uint64_t evictions = 0;        // resident seeds evicted to make room
+  uint64_t dropped = 0;          // inserts refused: the pool was full of better seeds
+  uint64_t import_dups = 0;      // imports of a fingerprint already seen here
+  uint64_t import_rejected = 0;  // imports of an empty sequence
+};
+
 class SeedPool {
  public:
   explicit SeedPool(size_t capacity = 256);
@@ -57,6 +68,7 @@ class SeedPool {
 
   // Read-only view of the pool, for checkpoint round-trip verification.
   const std::vector<Seed>& seeds() const { return seeds_; }
+  const SeedPoolCounts& counts() const { return counts_; }
 
   // Checkpointing (DESIGN.md §11): the seeds (sequences, scores, selection
   // counters, fingerprints), the id allocator, and the seen-fingerprint set
@@ -77,6 +89,7 @@ class SeedPool {
   // sorted order for SaveState), so the unordered layout cannot leak into
   // campaign behavior.
   std::unordered_set<uint64_t> seen_;
+  SeedPoolCounts counts_;
 };
 
 }  // namespace themis

@@ -71,6 +71,7 @@ void DfsCluster::BuildInitialTopology() {
 }
 
 void DfsCluster::ResetToInitial() {
+  ++placement_epoch_;
   BuildInitialTopology();
   if (model_cov_ != nullptr) {
     model_cov_->ForceIdle();  // a topology rebuild is not a balancer action
@@ -345,6 +346,7 @@ const std::vector<NodeId>& DfsCluster::LoadGroupServingNodes(uint32_t group) con
 // Index updates
 
 void DfsCluster::SetBrickBytes(Brick& brick, uint64_t used, uint64_t capacity) {
+  ++placement_epoch_;
   // Two's-complement deltas: a decrease wraps, and the sums wrap back.
   uint64_t used_delta = used - brick.used_bytes;
   uint64_t cap_delta = capacity - brick.capacity_bytes;
@@ -399,6 +401,7 @@ void DfsCluster::SetBrickInFleet(const Brick& brick, bool in) {
 void DfsCluster::SetBrickOnline(Brick& brick, bool online) {
   brick.online = online;
   ++membership_epoch_;
+  ++placement_epoch_;
   NodeLoadAgg& agg = nodes_[brick.node].agg;
   if (online) {
     agg.used_online += brick.used_bytes;
@@ -416,6 +419,7 @@ void DfsCluster::SetBrickOnline(Brick& brick, bool online) {
 
 void DfsCluster::SetNodeServing(NodeId id, bool serving) {
   ++membership_epoch_;
+  ++placement_epoch_;
   NodeRecord& record = nodes_[id];
   if (record.agg.serving == serving) {
     return;
@@ -791,8 +795,8 @@ bool DfsCluster::EnvRecoveryPending() const {
 
 uint64_t DfsCluster::TakeReplicas(BrickId from, BrickId to, uint64_t bytes) {
   Brick* src = FindBrick(from);
-  Brick* dst = FindBrick(to);  // null: destroy
-  if (src == nullptr) {
+  Brick* dst = FindBrick(to);
+  if (src == nullptr || dst == nullptr) {
     return 0;
   }
   uint64_t taken = 0;
@@ -801,11 +805,10 @@ uint64_t DfsCluster::TakeReplicas(BrickId from, BrickId to, uint64_t bytes) {
   // (from != to), so the visit order equals a snapshot walk's.
   std::vector<std::pair<FileId, uint32_t>>& from_set = bricks_[from].chunks;
   auto it = from_set.begin();
-  while (it != from_set.end() && taken < bytes && (dst == nullptr || dst->FreeBytes() > 0)) {
+  while (it != from_set.end() && taken < bytes && dst->FreeBytes() > 0) {
     const auto [file, chunk_index] = *it;
     ChunkPlacement* chunk = FindChunk(file, chunk_index);
-    if (chunk == nullptr ||
-        (dst != nullptr && (chunk->HasReplicaOn(to) || chunk->bytes > dst->FreeBytes()))) {
+    if (chunk == nullptr || chunk->HasReplicaOn(to) || chunk->bytes > dst->FreeBytes()) {
       ++it;
       continue;
     }
@@ -815,18 +818,12 @@ uint64_t DfsCluster::TakeReplicas(BrickId from, BrickId to, uint64_t bytes) {
       continue;
     }
     ReleaseBrickBytes(src, chunk->bytes);
-    if (dst != nullptr) {
-      *replica = to;
-      AccreteBrickBytes(dst, chunk->bytes);
-      AddReplicaIndex(to, file, chunk_index);
-    } else {
-      chunk->replicas.erase(replica);
-      if (chunk->replicas.empty()) {
-        lost_bytes_ += chunk->bytes;  // last replica gone: user data lost
-      }
-    }
+    *replica = to;
+    AccreteBrickBytes(dst, chunk->bytes);
+    AddReplicaIndex(to, file, chunk_index);
     taken += chunk->bytes;
     it = from_set.erase(it);
+    ++placement_epoch_;  // the erase bypasses RemoveReplicaIndex
   }
   return taken;
 }
@@ -835,6 +832,7 @@ uint64_t DfsCluster::TakeReplicas(BrickId from, BrickId to, uint64_t bytes) {
 // Replica index
 
 void DfsCluster::AddReplicaIndex(BrickId brick, FileId file, uint32_t chunk) {
+  ++placement_epoch_;
   auto& vec = bricks_[brick].chunks;
   const std::pair<FileId, uint32_t> key{file, chunk};
   if (vec.empty() || vec.back() < key) {
@@ -848,6 +846,7 @@ void DfsCluster::AddReplicaIndex(BrickId brick, FileId file, uint32_t chunk) {
 }
 
 void DfsCluster::RemoveReplicaIndex(BrickId brick, FileId file, uint32_t chunk) {
+  ++placement_epoch_;
   auto& vec = bricks_[brick].chunks;  // every replica names a live brick
   const std::pair<FileId, uint32_t> key{file, chunk};
   auto pos = std::lower_bound(vec.begin(), vec.end(), key);
@@ -1107,11 +1106,15 @@ Result<FileLayout> DfsCluster::PlaceFile(const std::string& path, uint64_t size)
 }
 
 void DfsCluster::ReleaseLayout(FileId file, const FileLayout& layout) {
-  for (uint32_t i = 0; i < layout.chunks.size(); ++i) {
-    const ChunkPlacement& chunk = layout.chunks[i];
+  ++placement_epoch_;
+  for (const ChunkPlacement& chunk : layout.chunks) {
     for (BrickId b : chunk.replicas) {
       ReleaseBrickBytes(FindBrick(b), chunk.bytes);
-      RemoveReplicaIndex(b, file, i);
+      // A brick's index is sorted by (file, chunk), so the file's keys are
+      // one run: the brick's first replica erases it, later ones find none.
+      auto& vec = bricks_[b].chunks;
+      vec.erase(std::lower_bound(vec.begin(), vec.end(), std::pair<FileId, uint32_t>{file, 0}),
+                std::lower_bound(vec.begin(), vec.end(), std::pair<FileId, uint32_t>{file + 1, 0}));
     }
   }
 }
@@ -2276,6 +2279,7 @@ void DfsCluster::SaveState(SnapshotWriter& writer) const {
 }
 
 Status DfsCluster::RestoreState(SnapshotReader& reader) {
+  ++placement_epoch_;
   // The clock only moves forward; a fresh cluster starts at 0, so a plain
   // Reset + Advance lands exactly on the saved instant.
   SimTime now = reader.I64();

@@ -294,6 +294,11 @@ class DfsCluster : public DfsInterface {
   std::vector<BrickId> ListBricks() const override { return serving_bricks_; }
   uint64_t FreeSpaceBytes() const override;
   uint64_t MembershipEpoch() const override { return membership_epoch_; }
+  // Monotonic counter bumped by every mutation a TakeReplicas walk can see:
+  // brick bytes and capacities, brick online and node serving flags, and
+  // replica-index entries. While it is unchanged, a walk that moved nothing
+  // would move nothing again. Never saved; only equality is meaningful.
+  uint64_t PlacementEpoch() const { return placement_epoch_; }
   SimTime Now() const override { return clock_.now(); }
   void AdvanceTime(SimDuration delta) override;
   void ResetToInitial() override;
@@ -429,10 +434,6 @@ class DfsCluster : public DfsInterface {
   // round — models mis-placed / mis-migrated data accumulating on a hotspot.
   uint64_t SkewBytes(BrickId from, BrickId to, uint64_t bytes) {
     return FindBrick(to) == nullptr || from == to ? 0 : TakeReplicas(from, to, bytes);
-  }
-  // Destroys `bytes` of stored data on `brick` (data-loss effects).
-  uint64_t DestroyBytes(BrickId brick, uint64_t bytes) {
-    return TakeReplicas(brick, kInvalidBrick, bytes);
   }
   // Deletes one replica without copying it anywhere (destructive unlink).
   void DestroyChunkReplica(FileId file, uint32_t chunk_index, BrickId brick);
@@ -623,9 +624,9 @@ class DfsCluster : public DfsInterface {
   OpResult DoExpandVolume(const Operation& op);
   OpResult DoReduceVolume(const Operation& op);
 
-  // Takes up to `bytes` of chunk replicas off `from` in replica-index order;
-  // each moves to `to` (if it has room and no replica yet), or is destroyed
-  // when `to` is kInvalidBrick. Backs SkewBytes and DestroyBytes.
+  // Moves up to `bytes` of chunk replicas from `from` to `to` in
+  // replica-index order, skipping chunks `to` has no room for or already
+  // holds. Backs SkewBytes.
   uint64_t TakeReplicas(BrickId from, BrickId to, uint64_t bytes);
   // Places all chunks for `size` bytes of `path`; rolls back on failure.
   Result<FileLayout> PlaceFile(const std::string& path, uint64_t size);
@@ -928,6 +929,8 @@ class DfsCluster : public DfsInterface {
   // Bumped whenever the admin list views (serving meta/storage/brick lists)
   // may change membership; see DfsInterface::MembershipEpoch().
   uint64_t membership_epoch_ = 1;
+  // See PlacementEpoch(). Starts at 1, so 0 never names a live epoch.
+  uint64_t placement_epoch_ = 1;
   // Scratch for NormalizedOpPath (valid until the next call).
   std::string norm_scratch_;
   // Recovery-pass candidate stream: `recovery_sorted_` is the ascending

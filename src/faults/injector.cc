@@ -253,6 +253,7 @@ void FaultInjector::PickVictim(FaultRuntime& fault, DfsCluster& dfs) {
   // Storage effects pin the brick with the highest utilization (the nascent
   // hotspot); CPU effects pin a storage node; network effects pin a
   // metadata/gateway node. Deterministic given the cluster state.
+  fault.idle_epoch = 0;
   if (EffectTargetsStorage(fault.spec.effect) ||
       fault.spec.effect == EffectKind::kCrashNode) {
     BrickId best = kInvalidBrick;
@@ -332,6 +333,10 @@ void FaultInjector::ApplyContinuousEffects(DfsCluster& dfs) {
             break;
           }
         }
+        const uint64_t epoch = dfs.PlacementEpoch();
+        if (fault.idle_epoch == epoch) {
+          break;  // nothing the walk reads has changed since it moved nothing
+        }
         // Move a slice toward the victim, draining the lightest bricks first.
         // A single donor can run out of movable chunks (its data may already
         // have replicas on the victim), so spread the step across several.
@@ -352,6 +357,9 @@ void FaultInjector::ApplyContinuousEffects(DfsCluster& dfs) {
           }
           remaining -= std::min(remaining,
                                 dfs.SkewBytes(donor, fault.victim_brick, remaining));
+        }
+        if (dfs.PlacementEpoch() == epoch) {
+          fault.idle_epoch = epoch;
         }
         break;
       }
@@ -442,6 +450,7 @@ void FaultInjector::OnClusterReset(DfsCluster& dfs) {
     fault.victim_node = kInvalidNode;
     fault.variance_streak = 0;
     fault.rounds_at_streak_start = 0;
+    fault.idle_epoch = 0;
   }
   recent_ops_.clear();
   rounds_at_op_.clear();
@@ -527,6 +536,7 @@ Status FaultInjector::RestoreState(SnapshotReader& reader) {
     fault.variance_streak = static_cast<int>(reader.I64());
     fault.rounds_at_streak_start = static_cast<int>(reader.I64());
     fault.satisfied_evals = reader.U64();
+    fault.idle_epoch = 0;
   }
   uint64_t ops = reader.Count(1);
   recent_ops_.clear();

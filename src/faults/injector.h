@@ -43,6 +43,11 @@ struct FaultRuntime {
   // Number of operations at which the full predicate (minus the probability
   // gate) held — calibration telemetry.
   uint64_t satisfied_evals = 0;
+  // Storage effects: the cluster's PlacementEpoch() after the last step
+  // that moved nothing, 0 when none is known. While the epoch still equals
+  // it, the next step would move nothing too, so it is skipped. Not saved:
+  // a restored or re-picked fault walks once and relearns it.
+  uint64_t idle_epoch = 0;
 };
 
 class FaultInjector : public FaultHooks {

@@ -187,11 +187,11 @@ Status WriteDoneRecordFile(const std::string& path,
   payload.I64(record.worker_id);
   payload.F64(record.wall_seconds);
   payload.F64(record.cpu_seconds);
-  payload.Bool(record.job_status.ok());
+  payload.U8(static_cast<uint8_t>(record.job_status.code()));
   if (record.job_status.ok()) {
     SaveCampaignResult(payload, record.result);
   } else {
-    payload.Str(record.job_status.ToString());
+    payload.Str(record.job_status.message());
   }
   return WriteFramedFile(path, kDoneRecordMagic, kFleetFileFormatVersion,
                          payload.buffer());
@@ -211,13 +211,18 @@ Result<FleetDoneRecord> ReadDoneRecordFile(const std::string& path) {
   record.worker_id = static_cast<int>(reader.I64());
   record.wall_seconds = reader.F64();
   record.cpu_seconds = reader.F64();
-  if (reader.Bool()) {
+  uint8_t code = reader.U8();
+  if (reader.ok() && code > static_cast<uint8_t>(StatusCode::kDataLoss)) {
+    return Status::DataLoss(
+        Sprintf("%s: job status code %u out of range", path.c_str(), code));
+  }
+  if (code == static_cast<uint8_t>(StatusCode::kOk)) {
     if (Status s = RestoreCampaignResult(reader, &record.result); !s.ok()) {
       return Status::DataLoss(
           Sprintf("%s: %s", path.c_str(), s.ToString().c_str()));
     }
   } else {
-    record.job_status = Status::Internal(reader.Str());
+    record.job_status = Status(static_cast<StatusCode>(code), reader.Str());
   }
   if (!reader.ok() || !reader.AtEnd()) {
     return Status::DataLoss(

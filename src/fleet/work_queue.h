@@ -37,7 +37,8 @@ namespace themis {
 inline constexpr std::string_view kJobSpecMagic = "THMSJOB1";
 inline constexpr std::string_view kDoneRecordMagic = "THMSRES1";
 inline constexpr std::string_view kWorkerMetricsMagic = "THMSMET1";
-inline constexpr uint32_t kFleetFileFormatVersion = 1;
+// v2: a done record stores a failed job's status code and message apart.
+inline constexpr uint32_t kFleetFileFormatVersion = 2;
 
 struct FleetPaths {
   std::string root;

@@ -288,6 +288,74 @@ TEST_P(ClusterOpsTest, FreeSpaceShrinksWithWrites) {
   EXPECT_EQ(dfs_->FreeSpaceBytes(), before - 20 * kGiB);
 }
 
+// PlacementEpoch() moves with every change a storage-fault donor walk
+// (TakeReplicas) can see, and stays put across metadata-only operations and
+// a walk that takes nothing.
+TEST_P(ClusterOpsTest, PlacementEpochMovesOnlyWithPlacement) {
+  uint64_t last = dfs_->PlacementEpoch();
+  auto moved = [&] {
+    bool changed = dfs_->PlacementEpoch() != last;
+    last = dfs_->PlacementEpoch();
+    return changed;
+  };
+  ASSERT_TRUE(dfs_->Execute(MakeOp(OpKind::kMkdir, "/d")).status.ok());
+  EXPECT_FALSE(moved()) << "mkdir";
+  ASSERT_TRUE(dfs_->Execute(MakeOp(OpKind::kRmdir, "/d")).status.ok());
+  EXPECT_FALSE(moved()) << "rmdir";
+  ASSERT_TRUE(dfs_->Execute(MakeCreate("/f", kGiB)).status.ok());
+  EXPECT_TRUE(moved()) << "create";
+  ASSERT_TRUE(dfs_->Execute(MakeOp(OpKind::kOpen, "/f")).status.ok());
+  EXPECT_FALSE(moved()) << "open";
+  ASSERT_TRUE(dfs_->Execute(MakeOp(OpKind::kAppend, "/f", kMiB)).status.ok());
+  EXPECT_TRUE(moved()) << "append";
+
+  // "/f" is one chunk on two bricks: a walk from one onto the other finds
+  // only a chunk the target already holds.
+  FileId file = *dfs_->tree().FileIdOf("/f");
+  std::vector<BrickId> replicas = dfs_->FindChunk(file, 0)->replicas;
+  ASSERT_EQ(replicas.size(), 2u);
+  EXPECT_EQ(dfs_->SkewBytes(replicas[0], replicas[1], kGiB), 0u);
+  EXPECT_FALSE(moved()) << "zero-take SkewBytes";
+  BrickId other = kInvalidBrick;
+  for (BrickId b : dfs_->ListBricks()) {
+    if (b != replicas[0] && b != replicas[1]) {
+      other = b;
+      break;
+    }
+  }
+  ASSERT_GT(dfs_->SkewBytes(replicas[0], other, kGiB), 0u);
+  EXPECT_TRUE(moved()) << "SkewBytes";
+
+  Operation add_volume = MakeOp(OpKind::kAddVolume);
+  add_volume.size = 200 * kGiB;
+  ASSERT_TRUE(dfs_->Execute(add_volume).status.ok());
+  EXPECT_TRUE(moved()) << "brick online";
+  Operation remove_volume = MakeOp(OpKind::kRemoveVolume);
+  remove_volume.brick = dfs_->ListBricks().back();
+  ASSERT_TRUE(dfs_->Execute(remove_volume).status.ok());
+  EXPECT_TRUE(moved()) << "brick offline";
+  ASSERT_TRUE(dfs_->Execute(MakeOp(OpKind::kAddStorageNode)).status.ok());
+  EXPECT_TRUE(moved()) << "node add";
+
+  // Removing a node queues recovery moves for its replicas, more than the
+  // removal's own background slice can execute; running them re-homes them.
+  ASSERT_TRUE(dfs_->Execute(MakeCreate("/big", 400 * kGiB)).status.ok());
+  EXPECT_TRUE(moved()) << "create";
+  Operation remove_node = MakeOp(OpKind::kRemoveStorageNode);
+  remove_node.node = dfs_->FindBrick(replicas[1])->node;
+  ASSERT_TRUE(dfs_->Execute(remove_node).status.ok());
+  EXPECT_TRUE(moved()) << "node remove";
+  ASSERT_FALSE(dfs_->RebalanceDone());
+  for (int i = 0; i < 1000 && !dfs_->RebalanceDone(); ++i) {
+    dfs_->AdvanceTime(Seconds(10));
+  }
+  EXPECT_FALSE(dfs_->FindChunk(file, 0)->HasReplicaOn(replicas[1]));
+  EXPECT_TRUE(moved()) << "executed move";
+
+  ASSERT_TRUE(dfs_->Execute(MakeOp(OpKind::kDelete, "/f")).status.ok());
+  EXPECT_TRUE(moved()) << "delete";
+}
+
 INSTANTIATE_TEST_SUITE_P(AllFlavors, ClusterOpsTest,
                          ::testing::Values(Flavor::kHdfs, Flavor::kCeph,
                                            Flavor::kGluster, Flavor::kLeo),

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "src/common/bytes.h"
+#include "src/common/snapshot_io.h"
 #include "src/core/executor.h"
 #include "src/core/generator.h"
 #include "src/dfs/flavors/factory.h"
@@ -266,6 +267,70 @@ TEST(Injector, StorageEffectAccumulatesTowardSeverity) {
     max_spread = std::max(max_spread, dfs->StorageImbalance());
   }
   EXPECT_GE(max_spread, 0.25) << "hotspot accumulation must approach severity";
+}
+
+// A storage step that moved nothing is skipped until PlacementEpoch()
+// moves. Skipping is exact only because such a step mutates nothing, and a
+// placement change must re-arm the step.
+TEST(Injector, IdleStorageStepIsSkippedUntilPlacementChanges) {
+  std::unique_ptr<DfsCluster> dfs = MakeCluster(Flavor::kHdfs, 33);
+  // A spread never reaches 2.0, so the fault keeps steering data.
+  FaultInjector injector(
+      {InstantSpec(Flavor::kHdfs, EffectKind::kHotspotAccumulation, 2.0)}, 1);
+  dfs->set_fault_hooks(&injector);
+  const uint64_t chunk = dfs->config().chunk_size;
+  ASSERT_TRUE(dfs->Execute(Create("/f0", 2 * chunk)).status.ok());
+  ASSERT_TRUE(injector.AnyActive());
+  const BrickId victim = injector.faults().front().victim_brick;
+  int files = 1;
+  for (; files < 400 && dfs->FindBrick(victim)->FreeBytes() >= chunk; ++files) {
+    ASSERT_TRUE(dfs->Execute(Create("/f" + std::to_string(files), 2 * chunk)).status.ok());
+  }
+  ASSERT_LT(dfs->FindBrick(victim)->FreeBytes(), chunk) << "the victim never filled";
+  // Until now every chunk may have a replica on the victim; these land
+  // elsewhere and give the donors chunks the victim could take.
+  for (int end = files + 20; files < end; ++files) {
+    ASSERT_TRUE(dfs->Execute(Create("/f" + std::to_string(files), 2 * chunk)).status.ok());
+  }
+
+  // A resumed injector has not seen a step yet. Through a probe-style
+  // mkdir/rmdir burst, its first step walks and takes nothing, the rest are
+  // skipped, and none of them changes the cluster.
+  SnapshotWriter saved;
+  injector.SaveState(saved);
+  FaultInjector resumed(
+      {InstantSpec(Flavor::kHdfs, EffectKind::kHotspotAccumulation, 2.0)}, 1);
+  SnapshotReader reader(saved.buffer());
+  ASSERT_TRUE(resumed.RestoreState(reader).ok());
+  dfs->set_fault_hooks(&resumed);
+  EXPECT_EQ(resumed.faults().front().idle_epoch, 0u);
+  SnapshotWriter before;
+  dfs->SaveState(before);
+  for (int i = 0; i < 20; ++i) {
+    Operation probe;
+    probe.kind = i % 2 == 0 ? OpKind::kMkdir : OpKind::kRmdir;
+    probe.path = "/probe";
+    resumed.OnOperationExecuted(*dfs, probe, OpResult{});
+  }
+  SnapshotWriter after;
+  dfs->SaveState(after);
+  EXPECT_EQ(before.buffer(), after.buffer());
+  EXPECT_EQ(resumed.faults().front().idle_epoch, dfs->PlacementEpoch());
+
+  // Deleting a file with a replica on the victim frees room there; the
+  // delete's own step must refill it from the donors.
+  FileId on_victim = dfs->ChunksOnBrickRef(victim).front().first;
+  uint64_t freed = 0;
+  for (const ChunkPlacement& placed : dfs->FindLayout(on_victim)->chunks) {
+    freed += placed.HasReplicaOn(victim) ? placed.bytes : 0;
+  }
+  const uint64_t used = dfs->FindBrick(victim)->used_bytes;
+  Operation remove;
+  remove.kind = OpKind::kDelete;
+  remove.path = dfs->tree().PathOf(on_victim);
+  ASSERT_TRUE(dfs->Execute(remove).status.ok());
+  EXPECT_GE(dfs->FindBrick(victim)->used_bytes, used - freed + chunk)
+      << "the step after a placement change must move bytes onto the victim";
 }
 
 TEST(Injector, HotspotSurvivesExplicitRebalance) {

@@ -220,6 +220,27 @@ TEST(FleetCorpusTest, EveryFramedKindRejectsEveryCorruptionMode) {
   }
 }
 
+// A failed job's done record keeps its status code, so the fleet summary
+// reports "NOT_FOUND: ..." rather than an INTERNAL wrapping that text.
+TEST(FleetCorpusTest, DoneRecordRoundTripsFailedJobStatus) {
+  FleetDoneRecord record;
+  record.job.index = 3;
+  record.job.strategy = "NoSuch";
+  record.worker_id = 1;
+  for (uint8_t code = static_cast<uint8_t>(StatusCode::kNotFound);
+       code <= static_cast<uint8_t>(StatusCode::kDataLoss); ++code) {
+    record.job_status = Status(static_cast<StatusCode>(code), "unknown strategy 'NoSuch'");
+    std::string path = (fs::path(FreshDir("failed")) / "record").string();
+    ASSERT_TRUE(WriteDoneRecordFile(path, record).ok());
+    Result<FleetDoneRecord> read = ReadDoneRecordFile(path);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(read->job_status.code(), record.job_status.code());
+    EXPECT_EQ(read->job_status.ToString(), record.job_status.ToString());
+    EXPECT_EQ(read->job.strategy, "NoSuch");
+    EXPECT_EQ(read->worker_id, 1);
+  }
+}
+
 TEST(FleetCorpusTest, NameFingerprintMismatchIsRejected) {
   std::string dir = FreshDir("renamed");
   CorpusSeed seed = TestSeed(15);

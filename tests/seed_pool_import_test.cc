@@ -14,7 +14,6 @@
 #include "src/common/snapshot_io.h"
 #include "src/core/opseq.h"
 #include "src/dfs/operation.h"
-#include "src/telemetry/metrics.h"
 
 namespace themis {
 namespace {
@@ -34,10 +33,6 @@ OpSeq TestSeq(Rng& rng) {
     seq.ops.push_back(TestOperation(rng));
   }
   return seq;
-}
-
-uint64_t CounterValue(const char* name) {
-  return MetricsRegistry::Global().GetCounter(name).Value();
 }
 
 TEST(SeedPoolImportTest, NewSeedEntersPoolMarkedImported) {
@@ -105,24 +100,18 @@ TEST(SeedPoolImportTest, EnergyMergeIsCommutative) {
 
 TEST(SeedPoolImportTest, EmptySequenceIsRejected) {
   SeedPool pool(8);
-  uint64_t rejected_before = CounterValue("seed_pool.import_rejected");
   EXPECT_FALSE(pool.ImportSeed(OpSeq{}, 1.0, 42));
   EXPECT_EQ(pool.size(), 0u);
   // A rejected import must not poison the dedup history: the fingerprint
   // stays importable once a valid sequence shows up under it.
   EXPECT_FALSE(pool.SeenFingerprint(42));
-  EXPECT_EQ(CounterValue("seed_pool.import_rejected"), rejected_before + 1);
+  EXPECT_EQ(pool.counts().import_rejected, 1u);
 }
 
 TEST(SeedPoolImportTest, EvictionCountersStayConsistentUnderInterleaving) {
   const size_t kCapacity = 16;
   SeedPool pool(kCapacity);
   Rng rng(5);
-  uint64_t adds_before = CounterValue("seed_pool.adds");
-  uint64_t imports_before = CounterValue("seed_pool.imports");
-  uint64_t evictions_before = CounterValue("seed_pool.evictions");
-  uint64_t dropped_before = CounterValue("seed_pool.add_dropped");
-  uint64_t dups_before = CounterValue("seed_pool.import_dups");
 
   uint64_t accepted = 0;
   uint64_t attempts = 0;
@@ -141,21 +130,17 @@ TEST(SeedPoolImportTest, EvictionCountersStayConsistentUnderInterleaving) {
     }
   }
 
-  uint64_t adds = CounterValue("seed_pool.adds") - adds_before;
-  uint64_t imports = CounterValue("seed_pool.imports") - imports_before;
-  uint64_t evictions = CounterValue("seed_pool.evictions") - evictions_before;
-  uint64_t dropped = CounterValue("seed_pool.add_dropped") - dropped_before;
-  uint64_t dups = CounterValue("seed_pool.import_dups") - dups_before;
-
+  const SeedPoolCounts& counts = pool.counts();
   // Every accepted entry either still lives in the pool or was evicted.
-  EXPECT_EQ(adds + imports, pool.size() + evictions);
+  EXPECT_EQ(counts.adds + counts.imports, pool.size() + counts.evictions);
   EXPECT_LE(pool.size(), kCapacity);
   // The dup path fired (every import attempt repeats its fingerprint once).
-  EXPECT_GT(dups, 0u);
-  // Attempts are fully accounted: accepted + dropped + dups covers every
-  // ImportSeed call, and adds + dropped covers every Add call.
-  EXPECT_EQ(imports, accepted);
-  EXPECT_GT(dropped + dups, 0u);
+  EXPECT_GT(counts.import_dups, 0u);
+  // Attempts are fully accounted: every Add call either added or was
+  // dropped, and every ImportSeed call imported, was dropped or was a dup.
+  EXPECT_EQ(counts.imports, accepted);
+  EXPECT_EQ(counts.adds + counts.imports + counts.dropped + counts.import_dups, attempts);
+  EXPECT_GT(counts.dropped + counts.import_dups, 0u);
 }
 
 TEST(SeedPoolImportTest, SeenSetSurvivesSnapshotRoundTrip) {
