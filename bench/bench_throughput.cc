@@ -195,14 +195,14 @@ void RunMonitorCadenceExperiment() {
 }
 
 // Production-scale sweep (DESIGN.md §15): GeoFS at 10 / 100 / 1k / 10k
-// storage nodes. The sparse per-group aggregates make the per-op cost O(1)
-// in total node count, so ops/sec should hold roughly flat across three
-// orders of magnitude; campaigns run at every size except 10k, which stays
-// hot-loop-only (a 10k-node campaign belongs in an overnight run, not a CI
-// bench). Gauges land under scale.GeoFS.n<N>.* — skipped by the perf gate's
-// series filter, tracked for trend.
+// storage nodes, a hot loop and a 24-hour campaign at each size. The
+// ordered load index keeps the per-op cost O(log n) in the node count, so
+// ops/sec should hold roughly flat across three orders of magnitude (a
+// 10k-node campaign takes about 0.1 s). Gauges land under scale.GeoFS.n<N>.*
+// — skipped by the perf gate's series filter, tracked for trend, and read
+// by scripts/check_scale_smoke.py's campaign-ratio gates.
 void RunScaleSweepExperiment() {
-  PrintHeader("GeoFS node-count sweep (sparse hierarchical aggregates)");
+  PrintHeader("GeoFS node-count sweep (ordered load index)");
   std::printf("%-10s %14s %18s\n", "nodes", "ops/sec", "campaign ops/sec");
 
   const int kSweepNodes[] = {10, 100, 1000, 10000};
@@ -222,42 +222,28 @@ void RunScaleSweepExperiment() {
         .GetGauge(Sprintf("scale.GeoFS.n%d.ops_per_sec", nodes))
         .Add(static_cast<int64_t>(ops_per_sec));
 
+    CampaignConfig config;
+    config.flavor = Flavor::kGeo;
+    config.seed = 7;
+    // Default 24 virtual hours (THEMIS_BENCH_HOURS overrides): a campaign
+    // this short would mostly measure cluster construction, not the
+    // steady-state per-op cost the sweep is after.
+    config.budget = BenchBudget().campaign;
+    config.storage_nodes = nodes;
+    start = std::chrono::steady_clock::now();
+    Result<CampaignResult> result = Campaign(config).Run("Themis");
+    double seconds = SecondsSince(start);
     double campaign_ops_per_sec = 0.0;
-    if (nodes < 10000) {
-      CampaignConfig config;
-      config.flavor = Flavor::kGeo;
-      config.seed = 7;
-      // Default 24 virtual hours (THEMIS_BENCH_HOURS overrides): a campaign
-      // this short would mostly measure cluster construction, not the
-      // steady-state per-op cost the sweep is after.
-      config.budget = BenchBudget().campaign;
-      config.storage_nodes = nodes;
-      start = std::chrono::steady_clock::now();
-      Result<CampaignResult> result = Campaign(config).Run("Themis");
-      double seconds = SecondsSince(start);
-      if (result.ok()) {
-        campaign_ops_per_sec = static_cast<double>(result->total_ops) / seconds;
-        MetricsRegistry::Global()
-            .GetGauge(Sprintf("scale.GeoFS.n%d.campaign_ops_per_sec", nodes))
-            .Add(static_cast<int64_t>(campaign_ops_per_sec));
-      } else {
-        std::printf("scale campaign failed at %d nodes: %s\n", nodes,
-                    result.status().ToString().c_str());
-      }
-    } else {
-      // Explicit skip marker: the perf-gate script treats a scale row with
-      // ops_per_sec but neither campaign_ops_per_sec nor this marker as a
-      // malformed bench document, so a silently dropped campaign leg can't
-      // masquerade as an intentional skip.
+    if (result.ok()) {
+      campaign_ops_per_sec = static_cast<double>(result->total_ops) / seconds;
       MetricsRegistry::Global()
-          .GetGauge(Sprintf("scale.GeoFS.n%d.campaign_skipped", nodes))
-          .Add(1);
-    }
-    if (nodes < 10000) {
-      std::printf("%-10d %14.0f %18.0f\n", nodes, ops_per_sec, campaign_ops_per_sec);
+          .GetGauge(Sprintf("scale.GeoFS.n%d.campaign_ops_per_sec", nodes))
+          .Add(static_cast<int64_t>(campaign_ops_per_sec));
     } else {
-      std::printf("%-10d %14.0f %18s\n", nodes, ops_per_sec, "(bench-only)");
+      std::printf("scale campaign failed at %d nodes: %s\n", nodes,
+                  result.status().ToString().c_str());
     }
+    std::printf("%-10d %14.0f %18.0f\n", nodes, ops_per_sec, campaign_ops_per_sec);
   }
 }
 

@@ -3,11 +3,12 @@
 
 Reads a bench_throughput summary JSON and checks that campaign throughput
 still scales: the 1000-node campaign must retain at least MIN_RATIO of the
-100-node campaign's ops/sec. Absolute ops/sec floors are deliberately not
-enforced — CI runners vary too much across machine generations — but the
-ratio is hardware-independent: if it collapses, a fleet-sized scan crept
-back into a per-op path (the exact regression the sparse hierarchical
-aggregates exist to prevent).
+100-node campaign's ops/sec, and the 10000-node campaign at least
+MIN_RATIO_10K of the 1000-node one. Absolute ops/sec floors are
+deliberately not enforced — CI runners vary too much across machine
+generations — but the ratios are hardware-independent: if one collapses, a
+fleet-sized scan crept back into a per-op path (the exact regression the
+ordered load index exists to prevent).
 
 Usage: check_scale_smoke.py <bench_summary.json>
 """
@@ -19,6 +20,10 @@ import sys
 # ~0.28 this repo measured when recovery scheduling still sorted the whole
 # brick fleet per pass.
 MIN_RATIO = 0.40
+
+# Well below the 10000:1000 ratios of five runs on a shared 4-core host,
+# Release build (0.64-1.00, median 0.78), the same margin MIN_RATIO keeps.
+MIN_RATIO_10K = 0.40
 
 PREFIX = "scale.GeoFS."
 
@@ -51,19 +56,23 @@ def main(argv):
     for nodes in sorted(rows):
         row = rows[nodes]
         campaign = row.get("campaign")
-        campaign_cell = ("(bench-only)".rjust(18) if campaign is None
+        campaign_cell = ("(missing)".rjust(18) if campaign is None
                          else format(campaign, "18.0f"))
         print(f"{nodes:>8}  {row.get('ops', 0):>12.0f}  {campaign_cell}")
 
-    for nodes in (100, 1000):
+    for nodes in (100, 1000, 10000):
         if rows.get(nodes, {}).get("campaign") is None:
             print(f"missing {PREFIX}n{nodes}.campaign_ops_per_sec")
             return 1
 
-    ratio = rows[1000]["campaign"] / rows[100]["campaign"]
-    print(f"\n1000:100 campaign throughput ratio: {ratio:.2f} "
-          f"(minimum {MIN_RATIO:.2f})")
-    if ratio < MIN_RATIO:
+    print()
+    failed = False
+    for big, small, minimum in ((1000, 100, MIN_RATIO), (10000, 1000, MIN_RATIO_10K)):
+        ratio = rows[big]["campaign"] / rows[small]["campaign"]
+        print(f"{big}:{small} campaign throughput ratio: {ratio:.2f} "
+              f"(minimum {minimum:.2f})")
+        failed = failed or ratio < minimum
+    if failed:
         print("FAIL: per-op cost is growing with fleet size")
         return 1
     print("scale smoke passed")

@@ -57,16 +57,18 @@ void DfsCluster::BuildInitialTopology() {
   window_epoch_ = 1;
   crashed_nodes_ = 0;
   load_groups_.clear();
-  ResetLoadIndex();
+  int storage_nodes = config_.initial_storage_nodes;
+  ResetLoadIndex(next_node_id_, config_.initial_meta_nodes + storage_nodes, next_brick_id_);
   OnTopologyCleared();
 
   // The index starts empty; the admission paths below fill it.
   for (int i = 0; i < config_.initial_meta_nodes; ++i) {
     AddMetaNodeInternal();
   }
-  for (int i = 0; i < config_.initial_storage_nodes; ++i) {
+  for (int i = 0; i < storage_nodes; ++i) {
     AddStorageNodeInternal(BrickCapacityFor(next_node_id_));
   }
+  ReleaseLoadTrees();
   OnTopologyChangedInternal();
 }
 
@@ -122,7 +124,7 @@ void SetSortedMember(std::vector<Id>& ids, Id id, bool member) {
 
 }  // namespace
 
-void DfsCluster::ResetLoadIndex() {
+void DfsCluster::ResetLoadIndex(NodeId first_node, size_t nodes, BrickId first_brick) {
   serving_bricks_.clear();
   serving_storage_nodes_.clear();
   fleet_used_ = 0;
@@ -130,21 +132,28 @@ void DfsCluster::ResetLoadIndex() {
   fleet_overflow_ = 0;
   total_used_all_ = 0;
   fraction_stats_ = FractionStats{};
-  frac_max_stale_ = false;
+  stale_nodes_.clear();
+  stale_bricks_.clear();
+  node_fraction_tree_.Clear(first_node, nodes);
+  hot_brick_tree_.Clear(first_brick);
+  least_cap_tree_.Clear(first_node, nodes);
+  node_fraction_tree_.Hold();
+  least_cap_tree_.Hold();
   for (LoadGroup& group : load_groups_) {
     group = LoadGroup{};
   }
-  dirty_groups_.clear();
-  hot_dirty_groups_.clear();
   rate_aggs_ = RateAggs{};
 }
 
+void DfsCluster::ReleaseLoadTrees() {
+  RefreshNodeFractions();
+  node_fraction_tree_.Release();
+  least_cap_tree_.Release();
+}
+
 void DfsCluster::RebuildLoadIndex() {
-  ResetLoadIndex();
-  // Every group is recomputed, including groups no serving node marks.
-  for (uint32_t g = 0; g < load_groups_.size(); ++g) {
-    MarkGroupDirty(g);
-  }
+  ResetLoadIndex(static_cast<NodeId>(nodes_.first()), nodes_.size() - nodes_.first(),
+                 static_cast<BrickId>(bricks_.first()));
   // The restored records start with empty sums; every brick is listed by
   // exactly one storage node.
   for (const auto& [id, node] : storage_nodes()) {
@@ -172,6 +181,7 @@ void DfsCluster::RebuildLoadIndex() {
   for (NodeId id : serving_meta) {
     SetNodeServing(id, true);
   }
+  ReleaseLoadTrees();
   ++membership_epoch_;
 }
 
@@ -205,13 +215,12 @@ void DfsCluster::SetNodeInRateAggs(NodeId id, bool is_storage, bool in) {
 }
 
 // ---------------------------------------------------------------------------
-// Hierarchical load groups (DESIGN.md §15)
+// Load groups (DESIGN.md §15)
 //
 // Storage nodes are partitioned into load groups (id-range spans by default;
-// GeoFS aligns them with scheduling groups via PickLoadGroup). Fraction
-// stats keep one sub-aggregate per group, refreshed only when a member
-// mutated (dirty-group queue) and rolled up over O(#groups). All sums are
-// integers, so the rollup is bit-identical to the flat scan.
+// GeoFS aligns them with scheduling groups via PickLoadGroup). Each group
+// keeps its serving members and the (used, capacity) sums GeoFS placement
+// reads; RefreshStaleNodes moves the sums with the fleet's.
 
 void DfsCluster::AssignLoadGroup(NodeId id) {
   uint32_t group = PickLoadGroup(id);
@@ -222,119 +231,6 @@ void DfsCluster::AssignLoadGroup(NodeId id) {
   if (group >= load_groups_.size()) {
     load_groups_.resize(group + 1);
   }
-}
-
-void DfsCluster::MarkGroupDirty(uint32_t group) {
-  LoadGroup& slot = load_groups_[group];
-  if (!slot.frac_dirty) {
-    slot.frac_dirty = true;
-    dirty_groups_.push_back(group);
-  }
-  if (!slot.hot_dirty) {
-    slot.hot_dirty = true;
-    hot_dirty_groups_.push_back(group);
-  }
-}
-
-void DfsCluster::RefreshGroupFrac(uint32_t group) const {
-  GroupFracAgg agg;
-  for (NodeId id : load_groups_[group].serving) {
-    const NodeLoadAgg& node = nodes_[id].agg;
-    if (node.cap_online == 0) {
-      continue;
-    }
-    ++agg.nodes;
-    double fraction = static_cast<double>(node.used_online) /
-                      static_cast<double>(node.cap_online);
-    if (agg.nodes == 1 || fraction > agg.max_fraction) {
-      agg.max_fraction = fraction;
-    }
-    agg.used += node.used_online;
-    agg.cap += node.cap_online;
-    uint64_t ticks = QuantizeLoadDelta(fraction, kUtilizationQuantum);
-    agg.frac_sum += ticks;
-    agg.frac_sum_sq += static_cast<Uint128>(ticks) * ticks;
-  }
-  // Apply the change to the running totals here, not in the rollup:
-  // LoadGroupUsedCap refreshes groups too, and a delta taken later against
-  // an already-refreshed group would be lost.
-  GroupFracAgg& old = load_groups_[group].frac;
-  FractionStats& stats = fraction_stats_;
-  stats.nodes += agg.nodes - old.nodes;
-  stats.used += agg.used - old.used;
-  stats.cap += agg.cap - old.cap;
-  stats.frac_sum += agg.frac_sum - old.frac_sum;
-  stats.frac_sum_sq += agg.frac_sum_sq - old.frac_sum_sq;
-  // Fractions are never negative, so a max seeded at 0.0 equals the
-  // first-wins max over the groups with members.
-  if (old.nodes > 0 && old.max_fraction == stats.max_fraction &&
-      (agg.nodes == 0 || agg.max_fraction < old.max_fraction)) {
-    frac_max_stale_ = true;  // the holder of the max fell or emptied
-  }
-  if (agg.nodes > 0 && agg.max_fraction > stats.max_fraction) {
-    stats.max_fraction = agg.max_fraction;
-  }
-  old = agg;
-}
-
-void DfsCluster::RefreshGroupHotBrick(uint32_t group) const {
-  GroupHotBrick hot;
-  for (NodeId id : load_groups_[group].serving) {
-    for (BrickId b : FindStorageNode(id)->bricks) {
-      const Brick* brick = FindBrick(b);
-      if (brick == nullptr || !brick->online) {
-        continue;
-      }
-      double fraction = brick->UsedFraction();
-      if (fraction > hot.fraction ||
-          (fraction == hot.fraction && b < hot.id)) {
-        hot.fraction = fraction;
-        hot.id = b;
-      }
-    }
-  }
-  load_groups_[group].hot = hot;
-}
-
-BrickId DfsCluster::HottestServingBrick() const {
-  for (uint32_t group : hot_dirty_groups_) {
-    if (load_groups_[group].hot_dirty) {
-      RefreshGroupHotBrick(group);
-      load_groups_[group].hot_dirty = false;
-    }
-  }
-  hot_dirty_groups_.clear();
-  // Every serving storage node carries a valid load group (AssignLoadGroup
-  // maps kInvalidLoadGroup to 0 and restore re-validates coverage), so the
-  // group maxima partition ServingBricks() exactly. Smallest brick id wins
-  // fraction ties, matching a strict-max scan in brick-id order.
-  BrickId best = kInvalidBrick;
-  double best_fraction = -1.0;
-  for (const LoadGroup& group : load_groups_) {
-    const GroupHotBrick& hot = group.hot;
-    if (hot.id == kInvalidBrick) {
-      continue;
-    }
-    if (hot.fraction > best_fraction ||
-        (hot.fraction == best_fraction && hot.id < best)) {
-      best_fraction = hot.fraction;
-      best = hot.id;
-    }
-  }
-  return best;
-}
-
-std::pair<uint64_t, uint64_t> DfsCluster::LoadGroupUsedCap(uint32_t group) const {
-  if (group >= load_groups_.size()) {
-    return {0, 0};
-  }
-  LoadGroup& slot = load_groups_[group];
-  if (slot.frac_dirty) {
-    RefreshGroupFrac(group);
-    // Leave the queue entry in place; the rollup re-refresh is idempotent.
-    slot.frac_dirty = false;
-  }
-  return {slot.frac.used, slot.frac.cap};
 }
 
 const std::vector<NodeId>& DfsCluster::LoadGroupServingNodes(uint32_t group) const {
@@ -357,18 +253,98 @@ void DfsCluster::SetBrickBytes(Brick& brick, uint64_t used, uint64_t capacity) {
   total_used_all_ += used_delta;
   NodeLoadAgg& agg = nodes_[brick.node].agg;
   agg.used_all += used_delta;
-  agg.cap_all += cap_delta;
+  AddNodeCapAll(brick.node, cap_delta);
   if (!brick.online) {
     return;
   }
   agg.used_online += used_delta;
   agg.cap_online += cap_delta;
   if (agg.serving) {
-    MarkGroupDirty(LoadGroupOf(brick.node));
+    MarkNodeStale(brick.node);
+    MarkBrickStale(brick.id);
     fleet_used_ += used_delta;
     fleet_cap_ += cap_delta;
     fleet_overflow_ += over_delta;
   }
+}
+
+void DfsCluster::AddNodeCapAll(NodeId id, uint64_t delta) {
+  NodeLoadAgg& agg = nodes_[id].agg;
+  agg.cap_all += delta;
+  if (agg.serving && delta != 0) {
+    least_cap_tree_.Set(id, agg.cap_all);
+  }
+}
+
+void DfsCluster::MarkNodeStale(NodeId id) {
+  NodeLoadAgg& agg = nodes_[id].agg;
+  if (!agg.stale) {
+    agg.stale = true;
+    stale_nodes_.push_back(id);
+  }
+}
+
+void DfsCluster::MarkBrickStale(BrickId id) {
+  BrickSlot& slot = bricks_[id];
+  if (!slot.stale) {
+    slot.stale = true;
+    stale_bricks_.push_back(id);
+  }
+}
+
+void DfsCluster::RefreshStaleNodes() const {
+  FractionStats& stats = fraction_stats_;
+  for (NodeId id : stale_nodes_) {
+    const NodeRecord& record = nodes_[id];
+    const NodeLoadAgg& agg = record.agg;
+    agg.stale = false;
+    // Take out what the node last added (two's complement: the sums wrap
+    // back exactly), then add what it holds now.
+    LoadGroup& group = load_groups_[record.load_group];
+    if (agg.counted_cap != 0) {
+      stats.nodes -= 1;
+      stats.used -= agg.counted_used;
+      stats.cap -= agg.counted_cap;
+      stats.frac_sum -= agg.counted_ticks;
+      stats.frac_sum_sq -= static_cast<Uint128>(agg.counted_ticks) * agg.counted_ticks;
+      group.used -= agg.counted_used;
+      group.cap -= agg.counted_cap;
+    }
+    if (!agg.serving || agg.cap_online == 0) {
+      agg.counted_used = agg.counted_cap = agg.counted_ticks = 0;
+      node_fraction_tree_.Erase(id);
+      continue;
+    }
+    double fraction =
+        static_cast<double>(agg.used_online) / static_cast<double>(agg.cap_online);
+    agg.counted_used = agg.used_online;
+    agg.counted_cap = agg.cap_online;
+    agg.counted_ticks = QuantizeLoadDelta(fraction, kUtilizationQuantum);
+    node_fraction_tree_.Set(id, fraction);
+    stats.nodes += 1;
+    stats.used += agg.counted_used;
+    stats.cap += agg.counted_cap;
+    stats.frac_sum += agg.counted_ticks;
+    stats.frac_sum_sq += static_cast<Uint128>(agg.counted_ticks) * agg.counted_ticks;
+    group.used += agg.counted_used;
+    group.cap += agg.counted_cap;
+  }
+  stale_nodes_.clear();
+}
+
+void DfsCluster::RefreshStaleBricks() const {
+  for (BrickId id : stale_bricks_) {
+    const BrickSlot& slot = bricks_[id];
+    slot.stale = false;
+    // Serving: online on a serving node. A GC'd slot is vacant.
+    const Brick* brick = BrickSlot::Get(&slot);
+    if (brick != nullptr && brick->online && nodes_[brick->node].agg.serving) {
+      hot_brick_tree_.Set(id, brick->UsedFraction());
+    } else {
+      hot_brick_tree_.Erase(id);
+    }
+  }
+  stale_bricks_.clear();
 }
 
 void DfsCluster::AccreteBrickBytes(Brick* brick, uint64_t bytes) {
@@ -395,6 +371,7 @@ void DfsCluster::SetBrickInFleet(const Brick& brick, bool in) {
     fleet_cap_ -= brick.capacity_bytes;
     fleet_overflow_ -= over;
   }
+  MarkBrickStale(brick.id);
   SetSortedMember(serving_bricks_, brick.id, in);
 }
 
@@ -412,7 +389,7 @@ void DfsCluster::SetBrickOnline(Brick& brick, bool online) {
     agg.cap_online -= brick.capacity_bytes;
   }
   if (agg.serving) {
-    MarkGroupDirty(LoadGroupOf(brick.node));
+    MarkNodeStale(brick.node);
     SetBrickInFleet(brick, online);
   }
 }
@@ -435,25 +412,18 @@ void DfsCluster::SetNodeServing(NodeId id, bool serving) {
     return;
   }
   SetSortedMember(load_groups_[record.load_group].serving, id, serving);
-  MarkGroupDirty(record.load_group);
+  MarkNodeStale(id);
+  if (serving) {
+    least_cap_tree_.Set(id, record.agg.cap_all);
+  } else {
+    least_cap_tree_.Erase(id);
+  }
   for (BrickId b : node->bricks) {
     const Brick* brick = FindBrick(b);
     if (brick != nullptr && brick->online) {
       SetBrickInFleet(*brick, serving);
     }
   }
-}
-
-NodeId DfsCluster::LeastCapacityServingNode() const {
-  uint64_t best_capacity = UINT64_MAX;
-  NodeId best = kInvalidNode;
-  for (NodeId id : serving_storage_nodes_) {
-    if (nodes_[id].agg.cap_all < best_capacity) {
-      best_capacity = nodes_[id].agg.cap_all;
-      best = id;
-    }
-  }
-  return best;
 }
 
 uint64_t DfsCluster::FreeSpaceBytes() const {
@@ -491,46 +461,6 @@ std::vector<double> DfsCluster::PerNodeUsedFraction() const {
   return out;
 }
 
-const DfsCluster::FractionStats& DfsCluster::EnsureFractionStats() const {
-  // One rollup feeds both the balancer-threshold spread and the storage
-  // dimension of the streaming LoadStatsSnapshot: per-op balance checks keep
-  // it current, so the monitor's storage numbers are O(1).
-  if (dirty_groups_.empty()) {
-    return fraction_stats_;
-  }
-  // Refresh only the groups ops have dirtied since the last read; each
-  // refresh moves the running totals by its delta (a group LoadGroupUsedCap
-  // already refreshed is clean and skipped). Integer sums and a max of
-  // non-negative doubles are independent of visiting order, so the totals
-  // are bit-identical to the flat fleet scan they replaced — the
-  // streaming-variance contract of DESIGN.md §13 holds unchanged at 10k
-  // nodes.
-  for (uint32_t group : dirty_groups_) {
-    if (load_groups_[group].frac_dirty) {
-      RefreshGroupFrac(group);
-      load_groups_[group].frac_dirty = false;
-    }
-  }
-  dirty_groups_.clear();
-  FractionStats& stats = fraction_stats_;
-  if (frac_max_stale_) {
-    stats.max_fraction = 0.0;
-    for (const LoadGroup& group : load_groups_) {
-      if (group.frac.nodes > 0) {
-        stats.max_fraction = std::max(stats.max_fraction, group.frac.max_fraction);
-      }
-    }
-    frac_max_stale_ = false;
-  }
-  stats.spread = 0.0;
-  if (stats.nodes >= 2 && fleet_cap_ > 0) {
-    double fleet =
-        static_cast<double>(fleet_used_) / static_cast<double>(fleet_cap_);
-    stats.spread = std::max(0.0, stats.max_fraction - fleet);
-  }
-  return stats;
-}
-
 double DfsCluster::StorageImbalance() const {
   // Utilization *spread* in fraction points: hottest node vs the
   // capacity-weighted fleet utilization — the exact quantity real balancers
@@ -538,7 +468,12 @@ double DfsCluster::StorageImbalance() const {
   // average utilization by more than N%"). An unweighted node mean would
   // diverge from what the balancer can actually guarantee on
   // heterogeneous-capacity clusters.
-  return EnsureFractionStats().spread;
+  RefreshNodeFractions();
+  if (fraction_stats_.nodes < 2 || fleet_cap_ == 0) {
+    return 0.0;
+  }
+  double fleet = static_cast<double>(fleet_used_) / static_cast<double>(fleet_cap_);
+  return std::max(0.0, MaxNodeFraction() - fleet);
 }
 
 MigrationPlan DfsCluster::PlanLevelingByUsage(
@@ -875,7 +810,7 @@ BrickId DfsCluster::NewBrickOnNode(NodeId node, uint64_t capacity) {
   // going online adds only its capacity to the sums.
   brick = Brick{.id = id, .node = node, .capacity_bytes = capacity, .online = false};
   sn->bricks.push_back(id);
-  nodes_[node].agg.cap_all += capacity;
+  AddNodeCapAll(node, capacity);
   SetBrickOnline(brick, true);
   return id;
 }
@@ -2006,7 +1941,7 @@ void DfsCluster::FinishRebalanceIfDrained() {
       // A drained offline brick contributes zero to every byte sum (offline
       // => not in the online/fleet sums, used_bytes == 0 => nothing in the
       // used-all sums); only its owner's all-brick capacity drops.
-      nodes_[brick->node].agg.cap_all -= brick->capacity_bytes;
+      AddNodeCapAll(brick->node, 0 - brick->capacity_bytes);
       bricks_[id] = BrickSlot{};
     } else {
       offline_brick_list_[kept++] = id;
@@ -2049,7 +1984,8 @@ void DfsCluster::SampleLoadInto(std::vector<LoadSample>& out) const {
 }
 
 bool DfsCluster::SnapshotLoadStats(LoadStatsSnapshot& out) const {
-  const FractionStats& frac = EnsureFractionStats();
+  RefreshNodeFractions();
+  const FractionStats& frac = fraction_stats_;
   out = LoadStatsSnapshot{};
   out.taken_at = clock_.now();
   uint32_t storage_count = static_cast<uint32_t>(serving_storage_nodes_.size());
@@ -2064,7 +2000,7 @@ bool DfsCluster::SnapshotLoadStats(LoadStatsSnapshot& out) const {
   out.net_meta = {rates.net_meta.sum, rates.net_meta.sum_sq, rates.net_meta.max_delta,
                   meta_count};
   out.fraction_nodes = frac.nodes;
-  out.max_fraction = frac.max_fraction;
+  out.max_fraction = MaxNodeFraction();
   out.storage_used = frac.used;
   out.storage_cap = frac.cap;
   out.frac_sum = frac.frac_sum;
@@ -2295,6 +2231,7 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
   // Both node lists hold (id, flags, kind fields, load counters) records.
   // One record per node id: an id listed twice (in either list) is corrupt.
   nodes_ = {};
+  stale_nodes_.clear();  // queued ids named the replaced records
   crashed_nodes_ = 0;
   auto restore_nodes = [&](auto kind, auto restore_fields) {
     uint64_t count = reader.Count(4 + 2 + 8 + 28);
@@ -2325,6 +2262,7 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
     }
   });
   bricks_ = {};
+  stale_bricks_.clear();
   offline_brick_list_.clear();
   uint64_t brick_count = reader.Count(4 + 4 + 8 + 8 + 1 + 4);
   for (uint64_t i = 0; i < brick_count && reader.ok(); ++i) {

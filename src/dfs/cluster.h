@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -27,6 +28,7 @@
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/status.h"
+#include "src/common/tournament_tree.h"
 #include "src/coverage/coverage.h"
 #include "src/coverage/model_coverage.h"
 #include "src/dfs/brick.h"
@@ -373,17 +375,21 @@ class DfsCluster : public DfsInterface {
   const std::vector<NodeId>& ServingStorageNodeIds() const { return serving_storage_nodes_; }
 
   // The hottest serving brick (max UsedFraction, smallest brick id on ties)
-  // — the fault injector's hotspot probe. Answered from per-group maxima
-  // (O(dirty groups + group count)), exact against the flat ServingBricks()
-  // scan. kInvalidBrick when nothing serves.
-  BrickId HottestServingBrick() const;
+  // — the fault injector's hotspot probe and victim pick. The top of a
+  // tournament tree over ServingBricks(), once the bricks changed since the
+  // last read are re-keyed; exact against the flat scan. kInvalidBrick when
+  // nothing serves.
+  BrickId HottestServingBrick() const {
+    RefreshHotBricks();
+    return hot_brick_tree_.Top();
+  }
 
   // The serving storage node whose bricks (offline and draining ones
   // included) add up to the least capacity, smallest id on ties — where
-  // AddVolume attaches a volume whose requested node is not serving. A dense
-  // scan of the serving list over the maintained per-node sums.
+  // AddVolume attaches a volume whose requested node is not serving. O(1):
+  // the top of a tournament tree over the serving nodes' capacity sums.
   // kInvalidNode when nothing serves.
-  NodeId LeastCapacityServingNode() const;
+  NodeId LeastCapacityServingNode() const { return least_cap_tree_.Top(); }
 
   uint64_t TotalCapacityBytes() const override { return fleet_cap_; }
   uint64_t TotalUsedBytes() const { return total_used_all_; }
@@ -547,14 +553,12 @@ class DfsCluster : public DfsInterface {
   }
 
   // Load-group assignment for a storage node being added (DESIGN.md §15).
-  // The cluster keeps one sub-aggregate per group, so a per-op imbalance
-  // read touches only the groups an op charged instead of the whole fleet.
-  // The default packs monotonically assigned node ids into contiguous spans
-  // of kLoadGroupSpan; GeoFS overrides it so the load groups coincide with
-  // its scheduling groups. The partition never changes a reported value
-  // (integer sums are order-independent), only its cost. Called exactly once
-  // per node, from AddStorageNodeInternal; the assignment is real state
-  // (persisted, snapshot v5), never recomputed.
+  // The cluster keeps each group's serving members and (used, capacity)
+  // sums for GeoFS's two-level placement. The default packs monotonically
+  // assigned node ids into contiguous spans of kLoadGroupSpan; GeoFS
+  // overrides it so the load groups coincide with its scheduling groups.
+  // Called exactly once per node, from AddStorageNodeInternal; the
+  // assignment is real state (persisted, snapshot v5), never recomputed.
   static constexpr uint32_t kLoadGroupSpan = 64;
   virtual uint32_t PickLoadGroup(NodeId id) { return id / kLoadGroupSpan; }
 
@@ -593,11 +597,15 @@ class DfsCluster : public DfsInterface {
   uint32_t LoadGroupOf(NodeId id) const {
     return nodes_.Find(id) != nullptr ? nodes_[id].load_group : kInvalidLoadGroup;
   }
-  // Fresh (used, capacity) bytes over one load group's serving nodes.
-  // Refreshes only that group's sub-aggregate if it is dirty — O(group
-  // size), independent of the fleet size. This is the per-group index
+  // (used, capacity) bytes over one load group's serving nodes with online
+  // capacity, read from maintained sums. This is the per-group index
   // GeoFS's two-level placement picks scheduling groups with.
-  std::pair<uint64_t, uint64_t> LoadGroupUsedCap(uint32_t group) const;
+  std::pair<uint64_t, uint64_t> LoadGroupUsedCap(uint32_t group) const {
+    RefreshNodeFractions();
+    return group < load_groups_.size()
+               ? std::pair{load_groups_[group].used, load_groups_[group].cap}
+               : std::pair<uint64_t, uint64_t>{0, 0};
+  }
   // Serving storage nodes of one load group (sorted by id). The reference
   // stays valid until the next membership mutation.
   const std::vector<NodeId>& LoadGroupServingNodes(uint32_t group) const;
@@ -696,16 +704,43 @@ class DfsCluster : public DfsInterface {
   // place, in O(1) or O(bricks of one node).
   //
   // Empties every derived aggregate (topology reset, and the head of
-  // RebuildLoadIndex).
-  void ResetLoadIndex();
+  // RebuildLoadIndex) and starts a bulk load of the node trees, sized for
+  // `nodes` ids from `first_node`: until ReleaseLoadTrees drains the node
+  // queue into them, updates write only leaves, and the release plays every
+  // match once (O(n), not O(n log n)). The brick queue waits for the first
+  // HottestServingBrick() read.
+  void ResetLoadIndex(NodeId first_node, size_t nodes, BrickId first_brick);
+  void ReleaseLoadTrees();
   // Rebuilds every aggregate from the ground-truth node and brick tables.
   // Only RestoreState calls it: the node table holds every node ever
   // created, so a rebuild is O(all nodes ever) and never runs in steady
   // state.
   void RebuildLoadIndex();
   // The one funnel for brick byte and capacity changes: sets both and
-  // applies the deltas to the node, group and fleet sums.
+  // applies the deltas to the node and fleet sums, queueing the node and
+  // brick for the fraction sums and trees.
   void SetBrickBytes(Brick& brick, uint64_t used, uint64_t capacity);
+  // Moves a storage node's all-brick capacity by `delta` (two's complement)
+  // and its least-capacity leaf with it.
+  void AddNodeCapAll(NodeId id, uint64_t delta);
+  // Queue a storage node whose used_online, cap_online or serving flag
+  // changed, or a brick whose fraction or serving state changed, for the
+  // next read. Each is queued once until then, however often it changes.
+  void MarkNodeStale(NodeId id);
+  void MarkBrickStale(BrickId id);
+  // Reads call these first. A queued node's last counted contribution
+  // leaves the fleet FractionStats and its group's sums and its current one
+  // joins them (a node counts while it serves with online capacity), and
+  // its max-fraction leaf is rewritten; a queued brick's hot-brick leaf is
+  // rewritten. O(queued · log n).
+  void RefreshNodeFractions() const {
+    if (!stale_nodes_.empty()) RefreshStaleNodes();
+  }
+  void RefreshHotBricks() const {
+    if (!stale_bricks_.empty()) RefreshStaleBricks();
+  }
+  void RefreshStaleNodes() const;
+  void RefreshStaleBricks() const;
   // Flips a brick's online flag. Offline bricks leave the node's online sums
   // and the fleet; they stay in the used-all sums until GC erases them.
   void SetBrickOnline(Brick& brick, bool online);
@@ -745,6 +780,13 @@ class DfsCluster : public DfsInterface {
     uint64_t used_all = 0;     // bytes on all of this node's bricks
     uint64_t cap_all = 0;      // capacity of all of this node's bricks
     bool serving = false;      // in its kind's serving list
+    // What RefreshStaleNodes last added to the fraction sums (all 0 while
+    // not counted; a counted node has online capacity), and whether the
+    // node is queued for it. Never saved.
+    mutable bool stale = false;
+    mutable uint64_t counted_used = 0;
+    mutable uint64_t counted_cap = 0;
+    mutable uint64_t counted_ticks = 0;  // quantized used/cap fraction
   };
   // Windowed rate tracking of the cumulative compute/network counters
   // (DESIGN.md §13): the counters at the start of the current window and the
@@ -788,6 +830,7 @@ class DfsCluster : public DfsInterface {
     // Replica index: the chunks with a replica on this brick, sorted by
     // (file, chunk) so scans run in a stable order over contiguous memory.
     std::vector<std::pair<FileId, uint32_t>> chunks;
+    mutable bool stale = false;  // queued for RefreshStaleBricks
 
     template <typename S>  // BrickSlot or const BrickSlot
     static auto Get(S* s) -> decltype(&s->brick) {
@@ -849,58 +892,43 @@ class DfsCluster : public DfsInterface {
   uint64_t fleet_overflow_ = 0;  // sum of max(0, used-cap), serving
   uint64_t total_used_all_ = 0;  // over every brick
   // Storage-dimension statistics over serving nodes with online capacity:
-  // the imbalance spread (the balancer threshold quantity) plus everything
-  // the streaming LoadStatsSnapshot reports for the storage dimension. One
-  // rollup feeds both, so the per-op balancer check and the monitor read the
-  // same numbers for free.
+  // the sums the streaming LoadStatsSnapshot reports, moved by each node's
+  // delta in RefreshStaleNodes. Integer sums are order-independent, so
+  // they are bit-identical to a flat fleet walk.
   struct FractionStats {
     uint32_t nodes = 0;
-    double max_fraction = 0.0;
     uint64_t used = 0;         // Σ used_online over `nodes`
     uint64_t cap = 0;          // Σ cap_online over `nodes`
     uint64_t frac_sum = 0;     // Σ quantized fraction, ticks
     Uint128 frac_sum_sq = 0;   // Σ quantized fraction², ticks²
-    double spread = 0.0;       // max(0, max_fraction - fleet utilization)
   };
-  // Running totals of every load group's sub-aggregate. RefreshGroupFrac
-  // applies each group's delta (new - old; the integers wrap back exactly)
-  // as it rewrites the group, whichever path refreshed it, and keeps the max
-  // by value. Valid, spread included, exactly when dirty_groups_ is empty:
-  // every mutation that can move a fraction statistic marks its group dirty.
-  const FractionStats& EnsureFractionStats() const;
   mutable FractionStats fraction_stats_;
-  // Set when the group holding max_fraction fell or emptied: the next read
-  // rescans the group maxima (max of doubles is order-independent).
-  mutable bool frac_max_stale_ = false;
+  mutable std::vector<NodeId> stale_nodes_;
+  mutable std::vector<BrickId> stale_bricks_;
+  // Largest used_online/cap_online over the counted nodes; 0 when none.
+  double MaxNodeFraction() const {
+    return node_fraction_tree_.empty() ? 0.0 : node_fraction_tree_.TopKey();
+  }
 
-  // ---- hierarchical (per-load-group) sub-aggregates (DESIGN.md §15) ----
-  // The storage-dimension statistics above are not rescanned fleet-wide:
-  // each load group keeps its own sub-aggregate, a mutation marks only the
-  // charged node's group dirty, and EnsureFractionStats re-scans the dirty
-  // groups (O(group size) each), each refresh moving the running totals by
-  // its delta. Integer sums and a plain double max make the totals
-  // bit-identical to the flat fleet scan they replaced.
-  struct GroupFracAgg {
-    uint32_t nodes = 0;        // serving nodes with online capacity
-    uint64_t used = 0;         // Σ used_online
-    uint64_t cap = 0;          // Σ cap_online
-    uint64_t frac_sum = 0;     // Σ quantized fraction, ticks
-    Uint128 frac_sum_sq = 0;   // Σ quantized fraction², ticks²
-    double max_fraction = 0.0;
-  };
-  // Hottest online brick of the group's serving nodes (HottestServingBrick).
-  struct GroupHotBrick {
-    double fraction = -1.0;
-    BrickId id = kInvalidBrick;
-  };
-  // Derived per-group state. The hot brick has its own dirty bit and queue
-  // so refreshing it never taxes the placement-path fraction refreshes.
+  // ---- ordered load index (DESIGN.md §15) ----
+  // Three tournament trees over the dense ids with O(log n) point updates;
+  // ties go to the smallest id, exactly as a strict-max or strict-min scan
+  // in id order. The first two are rewritten for the queued ids on read.
+  // Counted nodes by fraction, largest first.
+  mutable TournamentTree<double, std::greater<>> node_fraction_tree_;
+  // ServingBricks() by UsedFraction(), hottest first.
+  mutable TournamentTree<double, std::greater<>> hot_brick_tree_;
+  // Serving storage nodes by cap_all, smallest first.
+  TournamentTree<uint64_t, std::less<>> least_cap_tree_;
+  static_assert(decltype(hot_brick_tree_)::kNone == kInvalidBrick);
+  static_assert(decltype(least_cap_tree_)::kNone == kInvalidNode);
+
+  // Per-load-group state for GeoFS placement: the serving members and the
+  // (used, capacity) sums over the counted ones.
   struct LoadGroup {
     std::vector<NodeId> serving;  // serving members, sorted by id
-    GroupFracAgg frac;
-    bool frac_dirty = false;
-    GroupHotBrick hot;
-    bool hot_dirty = false;
+    uint64_t used = 0;            // Σ used_online over counted members
+    uint64_t cap = 0;             // Σ cap_online over counted members
   };
   // Group assignment (NodeRecord::load_group): real state, written once per
   // node by PickLoadGroup and persisted (snapshot v5) — GeoFS's assignment
@@ -908,14 +936,6 @@ class DfsCluster : public DfsInterface {
   // group + 1.
   void AssignLoadGroup(NodeId id);  // records PickLoadGroup(id)
   mutable std::vector<LoadGroup> load_groups_;
-  mutable std::vector<uint32_t> dirty_groups_;      // queue of frac_dirty ids
-  mutable std::vector<uint32_t> hot_dirty_groups_;  // queue of hot_dirty ids
-  void MarkGroupDirty(uint32_t group);
-  // Rescans one group's serving members into its sub-aggregate and applies
-  // the change to fraction_stats_.
-  void RefreshGroupFrac(uint32_t group) const;
-  // Rescans one group's online bricks into its hot-brick slot.
-  void RefreshGroupHotBrick(uint32_t group) const;
   // Serving metadata nodes, maintained at the (rare) membership changes so
   // per-op request routing / anti-entropy need not scan the ever-growing
   // node table (removed nodes stay in it as tombstones).

@@ -152,9 +152,8 @@ std::vector<BrickId> GeoLikeCluster::PlaceChunk(const std::string& path,
   }
   uint64_t h = GeoObjectHash(path, chunk_index);
   // Two-level placement: power-of-two-choices between two hash-derived
-  // scheduling groups on free-space fraction (the per-group aggregate is a
-  // dirty-refresh read — O(group size) worst case, O(1) amortized), then
-  // replica spread within the winner.
+  // scheduling groups on free-space fraction (the per-group (used, cap) sums
+  // are maintained), then replica spread within the winner.
   uint32_t g1 = static_cast<uint32_t>(h % groups);
   uint32_t g2 = static_cast<uint32_t>((h >> 32) % groups);
   auto fill_fraction = [this](uint32_t g) {

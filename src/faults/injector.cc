@@ -64,16 +64,12 @@ bool FaultInjector::SuppressMetadataSync(const DfsCluster& dfs, NodeId node) {
 void FaultInjector::OnOperationExecuted(DfsCluster& dfs, const Operation& op,
                                         const OpResult& result) {
   (void)result;
-  recent_ops_.push_back(op.kind);
-  rounds_at_op_.push_back(dfs.completed_rebalance_rounds());
-  imbalance_at_op_.push_back(dfs.StorageImbalance());
-  hot_touch_at_op_.push_back(TouchesHottestBrick(dfs, op));
-  while (recent_ops_.size() > kHistoryLimit) {
-    recent_ops_.pop_front();
-    rounds_at_op_.pop_front();
-    imbalance_at_op_.pop_front();
-    hot_touch_at_op_.pop_front();
-  }
+  history_[history_next_] = {.kind = op.kind,
+                             .hot_touch = TouchesHottestBrick(dfs, op),
+                             .rounds = dfs.completed_rebalance_rounds(),
+                             .imbalance = dfs.StorageImbalance()};
+  history_next_ = (history_next_ + 1) % kHistoryLimit;
+  history_size_ = std::min(history_size_ + 1, kHistoryLimit);
   SummarizeWindows();
   UpdateVarianceStreaks(dfs);
   EvaluateTriggers(dfs);
@@ -94,7 +90,7 @@ bool FaultInjector::TouchesHottestBrick(const DfsCluster& dfs, const Operation& 
   if (!file.ok()) {
     return false;
   }
-  // Maintained per-group maxima — identical to a strict-max scan over
+  // The maintained hottest-brick tree — identical to a strict-max scan over
   // ServingBricks(), without the per-op fleet walk.
   BrickId hottest = dfs.HottestServingBrick();
   if (hottest == kInvalidBrick) {
@@ -106,18 +102,17 @@ bool FaultInjector::TouchesHottestBrick(const DfsCluster& dfs, const Operation& 
 }
 
 double FaultInjector::Steadiness() const {
-  if (recent_ops_.size() < 2 * kSteadinessWindow) {
+  if (history_size_ < 2 * kSteadinessWindow) {
     return 0.0;
   }
   // Multiset overlap between the two most recent 8-op windows.
   int counts[kTotalOpKindCount] = {0};
-  size_t start = recent_ops_.size() - 2 * kSteadinessWindow;
   for (size_t i = 0; i < kSteadinessWindow; ++i) {
-    ++counts[static_cast<int>(recent_ops_[start + i])];
+    ++counts[static_cast<int>(Recent(2 * kSteadinessWindow - i).kind)];
   }
   int overlap = 0;
   for (size_t i = 0; i < kSteadinessWindow; ++i) {
-    int kind = static_cast<int>(recent_ops_[start + kSteadinessWindow + i]);
+    int kind = static_cast<int>(Recent(kSteadinessWindow - i).kind);
     if (counts[kind] > 0) {
       --counts[kind];
       ++overlap;
@@ -144,17 +139,14 @@ void FaultInjector::UpdateVarianceStreaks(const DfsCluster& dfs) {
 }
 
 void FaultInjector::SummarizeWindows() {
-  // The four history deques are pushed and popped together (RestoreState
-  // rejects snapshots where they disagree), so the op kinds and the hot
-  // touches share one window length.
   WindowSummary summary;
   windows_[0] = summary;
   for (size_t w = 1; w <= kHistoryLimit; ++w) {
-    if (w <= recent_ops_.size()) {
-      OpKind kind = recent_ops_[recent_ops_.size() - w];
-      summary.kind_mask |= 1u << static_cast<unsigned>(kind);
-      summary.class_mask |= 1u << static_cast<unsigned>(ClassOf(kind));
-      summary.hot_touches += hot_touch_at_op_[hot_touch_at_op_.size() - w] ? 1 : 0;
+    if (w <= history_size_) {
+      const HistoryEntry& entry = Recent(w);
+      summary.kind_mask |= 1u << static_cast<unsigned>(entry.kind);
+      summary.class_mask |= 1u << static_cast<unsigned>(ClassOf(entry.kind));
+      summary.hot_touches += entry.hot_touch ? 1 : 0;
     }
     windows_[w] = summary;
   }
@@ -163,11 +155,10 @@ void FaultInjector::SummarizeWindows() {
 bool FaultInjector::TriggerSatisfied(const FaultRuntime& fault,
                                      const DfsCluster& dfs) const {
   const TriggerRequirement& trigger = fault.spec.trigger;
-  size_t window = std::min(static_cast<size_t>(trigger.window), recent_ops_.size());
+  size_t window = std::min(static_cast<size_t>(trigger.window), history_size_);
   if (static_cast<int>(window) < trigger.min_window_ops) {
     return false;
   }
-  size_t start = recent_ops_.size() - window;
   // One bit per OpKind (kTotalOpKindCount = 24 < 32) and per OpClass.
   const WindowSummary& seen = windows_[window];
   auto has_class = [&](OpClass op_class) {
@@ -200,7 +191,8 @@ bool FaultInjector::TriggerSatisfied(const FaultRuntime& fault,
     return false;
   }
   if (trigger.min_rebalances_in_window > 0) {
-    int rounds_in_window = dfs.completed_rebalance_rounds() - rounds_at_op_[start];
+    // The oldest op of the window.
+    int rounds_in_window = dfs.completed_rebalance_rounds() - Recent(window).rounds;
     if (rounds_in_window < trigger.min_rebalances_in_window) {
       return false;
     }
@@ -212,11 +204,10 @@ bool FaultInjector::TriggerSatisfied(const FaultRuntime& fault,
     return false;
   }
   if (trigger.needs_accumulation) {
-    if (imbalance_at_op_.size() < 12) {
+    if (history_size_ < 12) {
       return false;
     }
-    double before = imbalance_at_op_[imbalance_at_op_.size() - 12];
-    if (imbalance_at_op_.back() < before + 0.03) {
+    if (Recent(1).imbalance < Recent(12).imbalance + 0.03) {
       return false;
     }
   }
@@ -256,17 +247,8 @@ void FaultInjector::PickVictim(FaultRuntime& fault, DfsCluster& dfs) {
   fault.idle_epoch = 0;
   if (EffectTargetsStorage(fault.spec.effect) ||
       fault.spec.effect == EffectKind::kCrashNode) {
-    BrickId best = kInvalidBrick;
-    double best_fraction = -1.0;
-    for (BrickId id : dfs.ServingBricks()) {
-      const Brick* brick = dfs.FindBrick(id);
-      if (brick->UsedFraction() > best_fraction) {
-        best_fraction = brick->UsedFraction();
-        best = id;
-      }
-    }
-    fault.victim_brick = best;
-    const Brick* brick = dfs.FindBrick(best);
+    fault.victim_brick = dfs.HottestServingBrick();
+    const Brick* brick = dfs.FindBrick(fault.victim_brick);
     fault.victim_node = brick != nullptr ? brick->node : kInvalidNode;
     return;
   }
@@ -452,10 +434,8 @@ void FaultInjector::OnClusterReset(DfsCluster& dfs) {
     fault.rounds_at_streak_start = 0;
     fault.idle_epoch = 0;
   }
-  recent_ops_.clear();
-  rounds_at_op_.clear();
-  imbalance_at_op_.clear();
-  hot_touch_at_op_.clear();
+  history_size_ = 0;
+  history_next_ = 0;
 }
 
 std::vector<std::string> FaultInjector::ActiveFaultIds() const {
@@ -500,14 +480,17 @@ void FaultInjector::SaveState(SnapshotWriter& writer) const {
     writer.I64(fault.rounds_at_streak_start);
     writer.U64(fault.satisfied_evals);
   }
-  writer.U64(recent_ops_.size());
-  for (OpKind op : recent_ops_) writer.U8(static_cast<uint8_t>(op));
-  writer.U64(rounds_at_op_.size());
-  for (int rounds : rounds_at_op_) writer.I64(rounds);
-  writer.U64(imbalance_at_op_.size());
-  for (double imbalance : imbalance_at_op_) writer.F64(imbalance);
-  writer.U64(hot_touch_at_op_.size());
-  for (bool hot : hot_touch_at_op_) writer.Bool(hot);
+  // Four length-prefixed sequences, oldest entry first.
+  writer.U64(history_size_);
+  for (size_t back = history_size_; back >= 1; --back) {
+    writer.U8(static_cast<uint8_t>(Recent(back).kind));
+  }
+  writer.U64(history_size_);
+  for (size_t back = history_size_; back >= 1; --back) writer.I64(Recent(back).rounds);
+  writer.U64(history_size_);
+  for (size_t back = history_size_; back >= 1; --back) writer.F64(Recent(back).imbalance);
+  writer.U64(history_size_);
+  for (size_t back = history_size_; back >= 1; --back) writer.Bool(Recent(back).hot_touch);
   rng_.SaveState(writer);
 }
 
@@ -538,40 +521,43 @@ Status FaultInjector::RestoreState(SnapshotReader& reader) {
     fault.satisfied_evals = reader.U64();
     fault.idle_epoch = 0;
   }
+  // The four sequences fill the ring's slots from 0, oldest first; entries
+  // past kHistoryLimit are read and dropped, and fail the check below.
   uint64_t ops = reader.Count(1);
-  recent_ops_.clear();
   for (uint64_t i = 0; i < ops && reader.ok(); ++i) {
     uint8_t op = reader.U8();
     if (reader.ok() && op >= kTotalOpKindCount) {
       reader.Fail(Sprintf("history op kind %u out of range", op));
       break;
     }
-    recent_ops_.push_back(static_cast<OpKind>(op));
+    if (i < kHistoryLimit) history_[i].kind = static_cast<OpKind>(op);
   }
   uint64_t rounds = reader.Count(8);
-  rounds_at_op_.clear();
   for (uint64_t i = 0; i < rounds && reader.ok(); ++i) {
-    rounds_at_op_.push_back(static_cast<int>(reader.I64()));
+    int value = static_cast<int>(reader.I64());
+    if (i < kHistoryLimit) history_[i].rounds = value;
   }
   uint64_t imbalances = reader.Count(8);
-  imbalance_at_op_.clear();
   for (uint64_t i = 0; i < imbalances && reader.ok(); ++i) {
-    imbalance_at_op_.push_back(reader.F64());
+    double value = reader.F64();
+    if (i < kHistoryLimit) history_[i].imbalance = value;
   }
   uint64_t hots = reader.Count(1);
-  hot_touch_at_op_.clear();
   for (uint64_t i = 0; i < hots && reader.ok(); ++i) {
-    hot_touch_at_op_.push_back(reader.Bool());
+    bool value = reader.Bool();
+    if (i < kHistoryLimit) history_[i].hot_touch = value;
   }
-  if (reader.ok() && (recent_ops_.size() > kHistoryLimit ||
-                      rounds_at_op_.size() != recent_ops_.size() ||
-                      imbalance_at_op_.size() != recent_ops_.size() ||
-                      hot_touch_at_op_.size() != recent_ops_.size())) {
-    reader.Fail(Sprintf("fault history windows hold %zu/%zu/%zu/%zu entries "
+  if (reader.ok() && (ops > kHistoryLimit || rounds != ops || imbalances != ops ||
+                      hots != ops)) {
+    reader.Fail(Sprintf("fault history windows hold %llu/%llu/%llu/%llu entries "
                         "(want equal, at most %zu)",
-                        recent_ops_.size(), rounds_at_op_.size(),
-                        imbalance_at_op_.size(), hot_touch_at_op_.size(), kHistoryLimit));
+                        static_cast<unsigned long long>(ops),
+                        static_cast<unsigned long long>(rounds),
+                        static_cast<unsigned long long>(imbalances),
+                        static_cast<unsigned long long>(hots), kHistoryLimit));
   }
+  history_size_ = reader.ok() ? static_cast<size_t>(ops) : 0;
+  history_next_ = history_size_ % kHistoryLimit;
   Status status = rng_.RestoreState(reader);
   if (!status.ok()) return status;
   return reader.status();

@@ -18,7 +18,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -94,19 +93,29 @@ class FaultInjector : public FaultHooks {
   bool EffectTargetsStorage(EffectKind effect) const;
 
   std::vector<FaultRuntime> faults_;
-  // Rolling execution history (most recent at the back).
-  std::deque<OpKind> recent_ops_;
-  std::deque<int> rounds_at_op_;      // completed rounds when each op ran
-  std::deque<double> imbalance_at_op_;  // storage imbalance after each op
-  std::deque<bool> hot_touch_at_op_;  // op touched data on the hottest brick
+  // Rolling execution history: the newest kHistoryLimit ops, one record
+  // each, in a fixed ring.
+  struct HistoryEntry {
+    OpKind kind = OpKind::kCreate;
+    bool hot_touch = false;  // op touched data on the hottest brick
+    int rounds = 0;          // completed rebalance rounds when the op ran
+    double imbalance = 0.0;  // storage imbalance after the op
+  };
+  std::array<HistoryEntry, kHistoryLimit> history_{};
+  size_t history_size_ = 0;  // entries held, at most kHistoryLimit
+  size_t history_next_ = 0;  // ring slot the next op is written to
+  // The `back`-th newest entry, 1 <= back <= history_size_.
+  const HistoryEntry& Recent(size_t back) const {
+    return history_[(history_next_ + kHistoryLimit - back) % kHistoryLimit];
+  }
   // What the newest w history entries hold, for w = 0..kHistoryLimit (an
-  // entry past a deque's length repeats the whole deque). Rebuilt once per
-  // op after the history push, so every inactive fault's trigger reads its
-  // window in O(1) instead of rescanning it.
+  // entry past the history's length repeats the whole history). Rebuilt
+  // once per op after the history push, so every inactive fault's trigger
+  // reads its window in O(1) instead of rescanning it.
   struct WindowSummary {
     uint32_t kind_mask = 0;  // one bit per OpKind
     uint8_t class_mask = 0;  // one bit per OpClass
-    int hot_touches = 0;     // true entries of hot_touch_at_op_
+    int hot_touches = 0;     // entries with hot_touch set
   };
   void SummarizeWindows();
   std::array<WindowSummary, kHistoryLimit + 1> windows_{};

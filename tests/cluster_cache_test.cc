@@ -20,6 +20,7 @@
 #include "src/core/generator.h"
 #include "src/core/input_model.h"
 #include "src/dfs/flavors/factory.h"
+#include "src/dfs/flavors/geo_like.h"
 #include "src/faults/env_fault.h"
 #include "src/faults/fault_registry.h"
 #include "src/faults/historical_corpus.h"
@@ -436,6 +437,136 @@ INSTANTIATE_TEST_SUITE_P(
       name += "_s" + std::to_string(info.param.seed);
       return name;
     });
+
+// GeoFS at 1k nodes with scripted ties: several bricks at one fraction on
+// nodes of one capacity, the holders of the max fraction and of the least
+// capacity crashed or decommissioned in turn, a restart, an AddVolume onto
+// the least-capacity node, then a snapshot round trip. Every query must
+// keep answering the smallest id among the tied, and the per-group sums
+// GeoFS placement reads must match a flat walk.
+class GeoProbe : public GeoLikeCluster {
+ public:
+  using GeoLikeCluster::GeoLikeCluster;
+  using DfsCluster::AccreteBrickBytes;
+  using DfsCluster::LoadGroupOf;
+  using DfsCluster::LoadGroupUsedCap;
+};
+
+void CheckGroupSums(const GeoProbe& dfs, const char* context) {
+  std::map<uint32_t, std::pair<uint64_t, uint64_t>> brute;
+  for (const auto& [id, node] : dfs.storage_nodes()) {
+    std::pair<uint64_t, uint64_t>& sums = brute[dfs.LoadGroupOf(id)];
+    if (!node.Serving()) {
+      continue;
+    }
+    uint64_t used = 0;
+    uint64_t capacity = 0;
+    for (BrickId b : node.bricks) {
+      const Brick* brick = dfs.FindBrick(b);
+      if (brick != nullptr && brick->online) {
+        used += brick->used_bytes;
+        capacity += brick->capacity_bytes;
+      }
+    }
+    if (capacity > 0) {
+      sums.first += used;
+      sums.second += capacity;
+    }
+  }
+  for (const auto& [group, sums] : brute) {
+    EXPECT_EQ(dfs.LoadGroupUsedCap(group), sums) << context << " group " << group;
+  }
+}
+
+TEST(ClusterCacheGeoScaleTest, TiedHoldersLeaveAndReturn) {
+  ClusterConfig config = GeoLikeCluster::DefaultConfig();
+  config.initial_storage_nodes = 1000;
+  config.max_storage_nodes = 1125;
+  config.rng_seed = 94;
+  GeoProbe dfs(config);
+  int step = 0;
+  auto check = [&](const char* context) {
+    CheckAggregates(dfs, step++, context);
+    CheckGroupSums(dfs, context);
+  };
+  check("initial");
+  // Every brick is empty, so all fractions tie at 0.
+  EXPECT_EQ(dfs.HottestServingBrick(), dfs.ServingBricks().front());
+
+  // Half-fill the first five bricks of the most common capacity: five
+  // bricks, and their five one-brick nodes, tie at fraction 0.5.
+  std::map<uint64_t, std::vector<BrickId>> by_capacity;
+  for (const auto& [id, brick] : dfs.bricks()) {
+    by_capacity[brick.capacity_bytes].push_back(id);
+  }
+  std::vector<BrickId> tied;
+  for (const auto& [capacity, ids] : by_capacity) {
+    if (ids.size() > tied.size()) {
+      tied = ids;
+    }
+  }
+  ASSERT_GE(tied.size(), 5u);
+  tied.resize(5);
+  for (BrickId id : tied) {
+    Brick* brick = dfs.FindBrick(id);
+    dfs.AccreteBrickBytes(brick, brick->capacity_bytes / 2);
+    check("tie fill");
+  }
+  auto node_of = [&](BrickId id) { return dfs.FindBrick(id)->node; };
+  EXPECT_EQ(dfs.HottestServingBrick(), tied[0]);
+
+  // The holder crashes; the next tied brick takes over.
+  dfs.CrashNode(node_of(tied[0]));
+  check("max holder crashed");
+  EXPECT_EQ(dfs.HottestServingBrick(), tied[1]);
+  // The next holder is decommissioned.
+  Operation remove;
+  remove.kind = OpKind::kRemoveStorageNode;
+  remove.node = node_of(tied[1]);
+  ASSERT_TRUE(dfs.Execute(remove).status.ok());
+  check("max holder removed");
+  EXPECT_EQ(dfs.HottestServingBrick(), tied[2]);
+
+  // Capacity ties: the least-capacity holder crashes, the next is removed.
+  NodeId least = dfs.LeastCapacityServingNode();
+  ASSERT_NE(least, kInvalidNode);
+  dfs.CrashNode(least);
+  check("least-capacity holder crashed");
+  NodeId next_least = dfs.LeastCapacityServingNode();
+  EXPECT_GT(next_least, least);
+  remove.node = next_least;
+  ASSERT_TRUE(dfs.Execute(remove).status.ok());
+  check("least-capacity holder removed");
+  // A volume for a node that is not serving lands on the least-capacity
+  // node, which then stops being the least.
+  NodeId target = dfs.LeastCapacityServingNode();
+  Operation add_volume;
+  add_volume.kind = OpKind::kAddVolume;
+  add_volume.node = least;
+  ASSERT_TRUE(dfs.Execute(add_volume).status.ok());
+  EXPECT_EQ(dfs.FindStorageNode(target)->bricks.size(), 2u);
+  check("volume on least-capacity node");
+  EXPECT_NE(dfs.LeastCapacityServingNode(), target);
+
+  // The crashed max holder restarts and wins the tie again.
+  dfs.RestartNode(node_of(tied[0]));
+  check("max holder restarted");
+  EXPECT_EQ(dfs.HottestServingBrick(), tied[0]);
+  dfs.RestartNode(least);
+  check("least-capacity holder restarted");
+
+  SnapshotWriter writer;
+  dfs.SaveState(writer);
+  GeoProbe restored(config);
+  SnapshotReader reader(writer.buffer());
+  ASSERT_TRUE(restored.RestoreState(reader).ok());
+  CheckAggregates(restored, step, "restored");
+  CheckGroupSums(restored, "restored");
+  EXPECT_EQ(restored.HottestServingBrick(), tied[0]);
+  SnapshotWriter resaved;
+  restored.SaveState(resaved);
+  EXPECT_TRUE(resaved.buffer() == writer.buffer());
+}
 
 }  // namespace
 }  // namespace themis
