@@ -1152,6 +1152,7 @@ OpResult DfsCluster::DoDelete(const Operation& op) {
   }
   EraseLayout(*id);
   result.status = tree_.RemoveFile(rid);
+  OnFileDeleted(*id);
   return result;
 }
 

@@ -525,6 +525,9 @@ class DfsCluster : public DfsInterface {
     (void)to;
   }
 
+  // Flavor hook after a file was deleted (its layout already released).
+  virtual void OnFileDeleted(FileId file) { (void)file; }
+
   // Flavor hook after ANY successful rename, including directory moves —
   // those re-path every descendant file without an OnFileRenamed call, so
   // flavors caching anything keyed by path must invalidate here.

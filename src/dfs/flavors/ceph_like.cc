@@ -24,15 +24,12 @@ CephLikeCluster::CephLikeCluster(ClusterConfig config)
 }
 
 void CephLikeCluster::OnTopologyChangedInternal() {
-  // CRUSH weights follow device capacity.
+  // CRUSH weights follow device capacity. Re-setting an unchanged weight is
+  // a no-op, so the PG memo survives topology changes that leave every
+  // serving device and its capacity as they were.
+  const std::vector<BrickId>& serving = ServingBricks();
   for (BrickId id : crush_.Targets()) {
-    if (FindBrick(id) == nullptr) {
-      crush_.RemoveTarget(id);
-    }
-  }
-  std::vector<BrickId> serving = ServingBricks();
-  for (BrickId id : crush_.Targets()) {
-    if (std::find(serving.begin(), serving.end(), id) == serving.end()) {
+    if (!std::binary_search(serving.begin(), serving.end(), id)) {
       crush_.RemoveTarget(id);
     }
   }
@@ -55,14 +52,11 @@ uint32_t CephLikeCluster::PgForObject(const std::string& path,
 std::vector<BrickId> CephLikeCluster::PlaceChunk(const std::string& path,
                                                  uint32_t chunk_index, uint64_t bytes) {
   uint32_t pg = PgForObject(path, chunk_index);
-  std::vector<BrickId> mapped = crush_.Map(pg, config_.replication);
-  std::vector<BrickId> chosen;
-  for (BrickId id : mapped) {
+  std::vector<BrickId> chosen = crush_.Map(pg, config_.replication);
+  std::erase_if(chosen, [&](BrickId id) {
     const Brick* brick = FindBrick(id);
-    if (brick != nullptr && brick->online && brick->FreeBytes() >= bytes) {
-      chosen.push_back(id);
-    }
-  }
+    return brick == nullptr || !brick->online || brick->FreeBytes() < bytes;
+  });
   if (!chosen.empty()) {
     return chosen;
   }

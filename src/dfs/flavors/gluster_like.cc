@@ -134,12 +134,13 @@ MigrationPlan GlusterLikeCluster::BuildRebalancePlan() {
     if (path.empty()) {
       continue;
     }
+    const uint32_t name_hash = DhtLayout::HashName(path);
     for (uint32_t i = 0; i < layout.chunks.size(); ++i) {
       const ChunkPlacement& chunk = layout.chunks[i];
       if (chunk.replicas.empty()) {
         continue;
       }
-      uint32_t hash = DhtLayout::HashName(path) + i * 0x9e3779b9u;
+      uint32_t hash = name_hash + i * 0x9e3779b9u;
       BrickId expected = layout_.Locate(hash);
       BrickId actual = chunk.replicas.front();
       if (expected == actual || expected == kInvalidBrick) {

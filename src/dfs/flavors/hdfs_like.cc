@@ -31,15 +31,17 @@ std::vector<BrickId> HdfsLikeCluster::PlaceChunk(const std::string& path,
   (void)chunk_index;
   // Build the weight tree from the cluster map and walk light-to-heavy,
   // skipping targets without room and keeping replicas on distinct nodes.
-  WeightedTree tree;
+  // Loads move with every write, so the tree is refilled per chunk; only its
+  // buffers are kept.
+  load_tree_.Clear();
   for (BrickId id : cluster_map_) {
     const Brick* brick = FindBrick(id);
     if (brick == nullptr || !brick->online) {
       continue;
     }
-    tree.Insert(WeightedTarget{.brick = id, .used_fraction = brick->UsedFraction()});
+    load_tree_.Insert(WeightedTarget{.brick = id, .used_fraction = brick->UsedFraction()});
   }
-  std::vector<BrickId> sorted = tree.SortByLoad(rng());
+  const std::vector<BrickId>& sorted = load_tree_.SortByLoad(rng());
   std::vector<BrickId> chosen;
   std::vector<NodeId> used_nodes;
   for (int pass = 0; pass < 2 && static_cast<int>(chosen.size()) < config_.replication;
@@ -64,9 +66,6 @@ std::vector<BrickId> HdfsLikeCluster::PlaceChunk(const std::string& path,
       chosen.push_back(id);
       used_nodes.push_back(brick->node);
     }
-  }
-  if (chosen.empty()) {
-    return {};
   }
   return chosen;
 }

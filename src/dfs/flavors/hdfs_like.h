@@ -41,6 +41,7 @@ class HdfsLikeCluster : public DfsCluster {
 
  private:
   std::vector<BrickId> cluster_map_;
+  WeightedTree load_tree_;  // sortByLoad scratch, refilled per chunk (never saved)
   uint32_t balancer_crashes_ = 0;  // env-fault crash census (persisted)
 };
 

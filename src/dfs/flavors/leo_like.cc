@@ -25,13 +25,11 @@ LeoLikeCluster::LeoLikeCluster(ClusterConfig config)
 void LeoLikeCluster::OnTopologyChangedInternal() {
   // Ring arcs scale with device capacity; a capacity change re-plants the
   // target's virtual nodes (a LeoFS ring/weight update).
-  bool ring_changed = false;
-  std::vector<BrickId> serving = ServingBricks();
+  const std::vector<BrickId>& serving = ServingBricks();
   for (BrickId id : ring_.Targets()) {
-    if (std::find(serving.begin(), serving.end(), id) == serving.end()) {
+    if (!std::binary_search(serving.begin(), serving.end(), id)) {
       ring_.RemoveTarget(id);
       ring_weights_.erase(id);
-      ring_changed = true;
     }
   }
   for (BrickId id : serving) {
@@ -47,38 +45,47 @@ void LeoLikeCluster::OnTopologyChangedInternal() {
     if (!ring_.HasTarget(id)) {
       ring_.AddTarget(id, weight);
       ring_weights_[id] = weight;
-      ring_changed = true;
     }
-  }
-  if (ring_changed) {
-    primary_cache_.clear();
   }
 }
 
 void LeoLikeCluster::OnNamespaceRenamed() {
   // A directory move re-paths every descendant file, so every cached hash is
   // suspect; renames are rare next to pin checks, a full drop is fine.
-  primary_cache_.clear();
+  object_hashes_.clear();
 }
 
-BrickId LeoLikeCluster::PrimaryFor(FileId file, uint32_t chunk_index,
-                                   const std::string* known_path) const {
-  auto key = std::make_pair(file, chunk_index);
-  auto it = primary_cache_.find(key);
-  if (it != primary_cache_.end()) {
-    return it->second;
+void LeoLikeCluster::OnFileDeleted(FileId file) {
+  if (file < object_hashes_.size()) {
+    object_hashes_[file] = {};
   }
-  std::string resolved;
-  const std::string* path = known_path;
-  if (path == nullptr) {
-    resolved = tree().PathOf(file);
-    path = &resolved;
+}
+
+void LeoLikeCluster::OnTopologyCleared() {
+  // A reset restarts FileIds at 1 under new paths.
+  object_hashes_.clear();
+}
+
+const uint64_t* LeoLikeCluster::ObjectHashes(FileId file, size_t chunks) const {
+  if (file >= object_hashes_.size()) {
+    object_hashes_.resize(static_cast<size_t>(file) + 1);
   }
-  BrickId primary = path->empty()
-                        ? kInvalidBrick
-                        : ring_.Primary(ObjectHash(*path, chunk_index));
-  primary_cache_.emplace(key, primary);
-  return primary;
+  std::vector<uint64_t>& hashes = object_hashes_[file];
+  if (hashes.size() < chunks) {
+    std::string path = tree().PathOf(file);
+    if (path.empty()) {
+      return nullptr;
+    }
+    for (size_t i = hashes.size(); i < chunks; ++i) {
+      hashes.push_back(ObjectHash(path, static_cast<uint32_t>(i)));
+    }
+  }
+  return hashes.data();
+}
+
+BrickId LeoLikeCluster::PrimaryFor(FileId file, uint32_t chunk_index) const {
+  const uint64_t* hashes = ObjectHashes(file, static_cast<size_t>(chunk_index) + 1);
+  return hashes == nullptr ? kInvalidBrick : ring_.Primary(hashes[chunk_index]);
 }
 
 uint64_t LeoLikeCluster::ObjectHash(const std::string& path, uint32_t chunk_index) {
@@ -134,8 +141,8 @@ MigrationPlan LeoLikeCluster::BuildRebalancePlan() {
   double receive_limit = fleet + config_.native_threshold * 0.5;
   std::map<BrickId, uint64_t> planned_inflow;  // cumulative per-target bytes
   for (const auto& [file, layout] : file_layouts()) {
-    std::string path = tree().PathOf(file);
-    if (path.empty()) {
+    const uint64_t* hashes = ObjectHashes(file, layout.chunks.size());
+    if (hashes == nullptr) {
       continue;
     }
     for (uint32_t i = 0; i < layout.chunks.size(); ++i) {
@@ -143,7 +150,7 @@ MigrationPlan LeoLikeCluster::BuildRebalancePlan() {
       if (chunk.replicas.empty()) {
         continue;
       }
-      BrickId expected = PrimaryFor(file, i, &path);
+      BrickId expected = ring_.Primary(hashes[i]);
       BrickId actual = chunk.replicas.front();
       if (expected == kInvalidBrick || expected == actual ||
           chunk.HasReplicaOn(expected)) {
@@ -194,7 +201,6 @@ void LeoLikeCluster::OnBalancerRestarted() {
   // Takeover: reload the ring from the persisted plantings, dropping targets
   // that disappeared while the manager was down.
   ring_ = HashRing(64);
-  primary_cache_.clear();
   for (auto it = ring_weights_.begin(); it != ring_weights_.end();) {
     if (FindBrick(it->first) == nullptr) {
       it = ring_weights_.erase(it);
@@ -219,7 +225,7 @@ Status LeoLikeCluster::RestoreFlavorState(SnapshotReader& reader) {
   // the base restore is discarded and rebuilt from the saved plantings.
   ring_ = HashRing(64);
   ring_weights_.clear();
-  primary_cache_.clear();
+  object_hashes_.clear();
   uint64_t count = reader.Count(4 + 8);
   for (uint64_t i = 0; i < count && reader.ok(); ++i) {
     BrickId id = reader.U32();

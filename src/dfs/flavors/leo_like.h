@@ -8,7 +8,6 @@
 
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/dfs/cluster.h"
@@ -23,6 +22,8 @@ class LeoLikeCluster : public DfsCluster {
   static ClusterConfig DefaultConfig();
 
   const HashRing& ring() const { return ring_; }
+  // Ring key of chunk `chunk_index` of the file at `path`.
+  static uint64_t ObjectHash(const std::string& path, uint32_t chunk_index);
   uint32_t balancer_crashes() const { return balancer_crashes_; }
 
  protected:
@@ -31,6 +32,8 @@ class LeoLikeCluster : public DfsCluster {
   MigrationPlan BuildRebalancePlan() override;
   void OnTopologyChangedInternal() override;
   void OnNamespaceRenamed() override;
+  void OnFileDeleted(FileId file) override;
+  void OnTopologyCleared() override;
   // Env-fault crash model (DESIGN.md §14): the ring is persisted per node in
   // LeoFS; a restarted manager reloads it from the stored plantings instead
   // of recomputing from capacity (which would lose the hysteresis history).
@@ -44,22 +47,22 @@ class LeoLikeCluster : public DfsCluster {
   Status RestoreFlavorState(SnapshotReader& reader) override;
 
  private:
-  static uint64_t ObjectHash(const std::string& path, uint32_t chunk_index);
-  // Memoized ring primary for a stored chunk. PathOf (a tree walk plus a
-  // string build) and the per-character object hash dominate rebalance
-  // planning and the leveler's pin checks on large namespaces; the primary
-  // only changes when the ring is re-planted or a rename re-paths the file,
-  // so the cache lives until one of those events clears it. FileIds are
-  // allocated monotonically and never reused, so entries for deleted files
-  // are merely dead weight, not wrong answers. `known_path` skips the PathOf
-  // on a miss when the caller already resolved it.
-  BrickId PrimaryFor(FileId file, uint32_t chunk_index,
-                     const std::string* known_path = nullptr) const;
+  // Object hashes of the first `chunks` chunks of a stored file, from the
+  // cache when it holds them, else through one PathOf. Null when the file
+  // has no path. The ring primary of a chunk is then one binary search.
+  const uint64_t* ObjectHashes(FileId file, size_t chunks) const;
+  BrickId PrimaryFor(FileId file, uint32_t chunk_index) const;
 
   HashRing ring_;
   std::map<BrickId, double> ring_weights_;  // weight each target was planted with
   uint32_t balancer_crashes_ = 0;           // env-fault crash census (persisted)
-  mutable std::map<std::pair<FileId, uint32_t>, BrickId> primary_cache_;
+  // FileId -> object hashes of its chunks, in chunk order. PathOf (a tree
+  // walk plus a string build) and the per-character hash dominate rebalance
+  // planning and the leveler's pin checks. A hash depends only on the
+  // file's path, not on the ring, so the table outlives ring re-plants: a
+  // rename (which can re-path a whole subtree), a reset or restore (which
+  // reuse FileIds) and the file's deletion drop entries. Never saved.
+  mutable std::vector<std::vector<uint64_t>> object_hashes_;
 };
 
 }  // namespace themis

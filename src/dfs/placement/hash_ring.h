@@ -5,12 +5,16 @@
 // its hash, replicas on the next distinct targets. Adding or removing a
 // target moves only the keys in the affected arcs — the property LeoFS's
 // rebalance relies on.
+//
+// The ring is one vector of (position, target) points sorted by position:
+// a lookup is a binary search, and re-planting a target is a merge or an
+// erase over a few hundred points instead of node-by-node tree surgery.
 
 #ifndef SRC_DFS_PLACEMENT_HASH_RING_H_
 #define SRC_DFS_PLACEMENT_HASH_RING_H_
 
 #include <cstdint>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "src/dfs/types.h"
@@ -28,7 +32,7 @@ class HashRing {
   // Virtual nodes currently planted for a target (0 if absent).
   int VnodeCount(BrickId target) const;
   bool HasTarget(BrickId target) const;
-  size_t target_count() const { return positions_.size(); }
+  size_t target_count() const { return targets_.size(); }
 
   // First `replicas` distinct targets clockwise from hash(key). Returns fewer
   // if the ring has fewer targets. Empty if the ring is empty.
@@ -40,11 +44,18 @@ class HashRing {
   std::vector<BrickId> Targets() const;
 
  private:
+  struct Point {
+    uint64_t pos;
+    BrickId target;
+  };
+
+  // First point at or after `key_hash`, wrapping to the start.
+  std::vector<Point>::const_iterator FirstAtOrAfter(uint64_t key_hash) const;
+
   int vnodes_;
-  std::map<uint64_t, BrickId> ring_;  // position -> target
-  // Per-target vnode positions, so RemoveTarget erases its own entries in
-  // O(v log n) and VnodeCount is a lookup instead of a full-ring scan.
-  std::map<BrickId, std::vector<uint64_t>> positions_;
+  std::vector<Point> ring_;  // ascending position; positions are distinct
+  // (target, planted vnode count), ascending target.
+  std::vector<std::pair<BrickId, int>> targets_;
 };
 
 }  // namespace themis

@@ -2,8 +2,8 @@
 //
 // Mirrors the NameNode's sortByLoad (paper Fig. 4): targets are bucketed into
 // a TreeMap keyed by a coarse load weight; buckets are traversed from light
-// to heavy, and targets inside a bucket are shuffled so equally loaded nodes
-// share new blocks. The paper's HDFS-13279 bug lives exactly here — a stale
+// to heavy, and targets inside a bucket (kept in insertion order) are
+// shuffled so equally loaded nodes share new blocks. The paper's HDFS-13279 bug lives exactly here — a stale
 // membership entry sorted into the array makes the migration calculation
 // wrong — so the flavor feeds this structure from its (possibly stale)
 // cluster map.
@@ -12,7 +12,7 @@
 #define SRC_DFS_PLACEMENT_WEIGHTED_TREE_H_
 
 #include <cstdint>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -34,18 +34,22 @@ class WeightedTree {
   void Clear();
   void Insert(const WeightedTarget& target);
 
-  // Sorted light-to-heavy target list with in-bucket shuffling.
-  std::vector<BrickId> SortByLoad(Rng& rng) const;
+  // Sorted light-to-heavy target list with in-bucket shuffling. A counting
+  // sort into buffers the tree keeps, so a tree reused across calls sorts
+  // without allocating; the reference is valid until the next non-const
+  // call.
+  const std::vector<BrickId>& SortByLoad(Rng& rng);
 
   // First `n` distinct targets of SortByLoad.
-  std::vector<BrickId> ChooseLeastLoaded(int n, Rng& rng) const;
+  std::vector<BrickId> ChooseLeastLoaded(int n, Rng& rng);
 
-  size_t size() const { return count_; }
+  size_t size() const { return inserted_.size(); }
 
  private:
   int buckets_;
-  std::map<int, std::vector<BrickId>> tree_;  // weight bucket -> targets
-  size_t count_ = 0;
+  std::vector<std::pair<int, BrickId>> inserted_;  // (weight bucket, target)
+  std::vector<size_t> bucket_start_;               // counting-sort offsets
+  std::vector<BrickId> sorted_;
 };
 
 }  // namespace themis

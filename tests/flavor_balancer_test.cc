@@ -6,9 +6,12 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/bytes.h"
+#include "src/common/snapshot_io.h"
 #include "src/dfs/flavors/ceph_like.h"
 #include "src/dfs/flavors/factory.h"
 #include "src/dfs/flavors/geo_like.h"
@@ -130,6 +133,127 @@ TEST(LeoBalancer, RingChangeMovesAffectedObjects) {
   Drain(dfs);
   EXPECT_GT(dfs.FindBrick(fresh)->used_bytes, 0u)
       << "the ring's new arcs must receive their objects";
+}
+
+// The LeoFS flavor caches each stored chunk's object hash by FileId, and the
+// cache outlives ring re-plants. A reset restarts FileIds at 1 and a restore
+// brings back another namespace's FileIds, so a stale entry would hash a
+// chunk under a path it no longer has. Each case warms the cache, changes
+// which path a FileId names, changes the ring, and then requires every pin
+// check and every hash-driven move to follow the chunk's current path.
+class LeoProbe : public LeoLikeCluster {
+ public:
+  using LeoLikeCluster::BuildRebalancePlan;
+  using LeoLikeCluster::ChunkPinnedToBrick;
+  using LeoLikeCluster::OnBalancerRestarted;
+};
+
+BrickId FreshPrimary(const LeoProbe& dfs, FileId file, uint32_t chunk) {
+  return dfs.ring().Primary(LeoLikeCluster::ObjectHash(dfs.tree().PathOf(file), chunk));
+}
+
+// Queries every stored chunk's pin (warming the cache) and checks it against
+// a fresh hash of the chunk's current path.
+void ExpectPinsFollowPaths(const LeoProbe& dfs) {
+  size_t chunks = 0;
+  for (const auto& [file, layout] : dfs.file_layouts()) {
+    for (uint32_t i = 0; i < layout.chunks.size(); ++i) {
+      EXPECT_TRUE(dfs.ChunkPinnedToBrick(file, i, FreshPrimary(dfs, file, i)))
+          << dfs.tree().PathOf(file) << " chunk " << i;
+      ++chunks;
+    }
+  }
+  EXPECT_GT(chunks, 0u);
+}
+
+// Every hash-driven move targets the fresh primary; returns how many there
+// were, so a case can require that the plan exercised the hashes at all.
+size_t ExpectPlanFollowsPaths(LeoProbe& dfs) {
+  size_t hashed = 0;
+  for (const ChunkMove& move : dfs.BuildRebalancePlan()) {
+    if (move.hash_driven) {
+      EXPECT_EQ(move.to, FreshPrimary(dfs, move.file, move.chunk_index))
+          << dfs.tree().PathOf(move.file) << " chunk " << move.chunk_index;
+      ++hashed;
+    }
+  }
+  return hashed;
+}
+
+void CreateFiles(DfsCluster& dfs, const std::string& prefix, int count) {
+  for (int i = 0; i < count; ++i) {
+    ASSERT_TRUE(dfs.Execute(Create(prefix + std::to_string(i), 5 * kGiB)).status.ok());
+  }
+}
+
+void AddStorageNode(DfsCluster& dfs) {
+  Operation add;
+  add.kind = OpKind::kAddStorageNode;
+  ASSERT_TRUE(dfs.Execute(add).status.ok());
+}
+
+TEST(LeoObjectHashCache, ResetReusesFileIdsUnderNewPaths) {
+  LeoProbe dfs;
+  CreateFiles(dfs, "/a", 30);
+  ExpectPinsFollowPaths(dfs);
+  dfs.ResetToInitial();
+  CreateFiles(dfs, "/reset-", 30);  // FileIds 1..30 again, other paths
+  AddStorageNode(dfs);              // re-plants the ring, keeps the cache
+  ExpectPinsFollowPaths(dfs);
+  EXPECT_GT(ExpectPlanFollowsPaths(dfs), 0u);
+}
+
+TEST(LeoObjectHashCache, RenameRepathsFilesAndDirectories) {
+  LeoProbe dfs;
+  Operation mkdir;
+  mkdir.kind = OpKind::kMkdir;
+  mkdir.path = "/d";
+  ASSERT_TRUE(dfs.Execute(mkdir).status.ok());
+  CreateFiles(dfs, "/d/f", 15);
+  CreateFiles(dfs, "/g", 15);
+  ExpectPinsFollowPaths(dfs);
+  for (auto [from, to] : {std::pair{"/g3", "/moved-g3"},
+                          std::pair{"/d", "/moved-d"}}) {  // re-paths every file under it
+    Operation rename;
+    rename.kind = OpKind::kRename;
+    rename.path = from;
+    rename.path2 = to;
+    ASSERT_TRUE(dfs.Execute(rename).status.ok()) << from;
+  }
+  AddStorageNode(dfs);
+  ExpectPinsFollowPaths(dfs);
+  EXPECT_GT(ExpectPlanFollowsPaths(dfs), 0u);
+}
+
+TEST(LeoObjectHashCache, RestoreBringsBackAnotherNamespace) {
+  LeoProbe saved;
+  CreateFiles(saved, "/saved-", 30);
+  SnapshotWriter writer;
+  saved.SaveState(writer);
+
+  LeoProbe dfs;
+  CreateFiles(dfs, "/b", 30);  // the same FileIds under other paths
+  ExpectPinsFollowPaths(dfs);
+  SnapshotReader reader(writer.buffer());
+  ASSERT_TRUE(dfs.RestoreState(reader).ok());
+  AddStorageNode(dfs);
+  ExpectPinsFollowPaths(dfs);
+  EXPECT_GT(ExpectPlanFollowsPaths(dfs), 0u);
+}
+
+TEST(LeoObjectHashCache, BalancerRestartReloadsTheRing) {
+  LeoProbe dfs;
+  CreateFiles(dfs, "/c", 30);
+  ExpectPinsFollowPaths(dfs);
+  AddStorageNode(dfs);
+  dfs.OnBalancerRestarted();  // reloads the ring from its plantings
+  ExpectPinsFollowPaths(dfs);
+  EXPECT_GT(ExpectPlanFollowsPaths(dfs), 0u);
+  Operation remove;
+  remove.kind = OpKind::kDelete;
+  remove.path = "/c7";
+  ASSERT_TRUE(dfs.Execute(remove).status.ok());
+  ExpectPinsFollowPaths(dfs);
 }
 
 TEST(CephBalancer, UpmapsAppearUnderSkew) {

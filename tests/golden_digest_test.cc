@@ -56,6 +56,33 @@ TEST(GoldenDigestTest, PerFlavorDigestsArePinned) {
   }
 }
 
+// Env-fault campaigns (DESIGN.md §14): metadata-node crashes and restarts
+// drive the CephFS upmap cleanup and the LeoFS ring reload, and brick
+// crashes re-weight CRUSH and re-plant the ring, so these pin the flavors'
+// derived placement state across its invalidations (DESIGN.md §10,
+// "Derived placement state").
+// seed=1234, budget=6 virtual hours, strategy "Themis", env_faults = true.
+constexpr GoldenEntry kGoldenEnvFaults[] = {
+    {Flavor::kCeph, 0x858d3f56d7bd8f1cULL, 254, 8001},
+    {Flavor::kLeo, 0x11306eda86c6db87ULL, 127, 5896},
+};
+
+TEST(GoldenDigestTest, EnvFaultDigestsArePinned) {
+  for (const GoldenEntry& golden : kGoldenEnvFaults) {
+    CampaignConfig config;
+    config.flavor = golden.flavor;
+    config.seed = 1234;
+    config.budget = Hours(6);
+    config.env_faults = true;
+    Result<CampaignResult> result = Campaign(config).Run("Themis");
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const std::string flavor(FlavorName(golden.flavor));
+    EXPECT_EQ(result->Digest(), golden.digest) << flavor;
+    EXPECT_EQ(result->testcases, golden.testcases) << flavor;
+    EXPECT_EQ(result->total_ops, golden.total_ops) << flavor;
+  }
+}
+
 // The snapshot encoding is pinned as well: each golden campaign, run with a
 // checkpoint every 1000 ops, writes its last mid-campaign checkpoint file
 // (cluster, model, injector and strategy state) byte for byte as below —

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <map>
 #include <set>
 #include <vector>
@@ -463,6 +466,279 @@ TEST(GeoTree, AdmissionMatchesFullGroupScanUnderChurn) {
         engine.Clear();
         members.clear();
       }
+    }
+  }
+}
+
+// ---- Differential tests against the original algorithms ----
+//
+// The placement structures keep derived state between topology changes (a
+// flat CRUSH target table and PG memo, a flat ring, counting-sort buffers).
+// Each is checked against the straightforward algorithm it replaced, kept
+// here as an oracle, under random churn.
+
+namespace oracle {
+
+// Straw2 recomputed from scratch on every call over a std::map of weights.
+class Crush {
+ public:
+  explicit Crush(uint32_t pg_count) : pg_count_(pg_count) {}
+  void SetTargetWeight(BrickId target, double weight) {
+    if (weight <= 0.0) {
+      weights_.erase(target);
+    } else {
+      weights_[target] = weight;
+    }
+  }
+  void RemoveTarget(BrickId target) {
+    weights_.erase(target);
+    std::erase_if(upmaps_, [target](const auto& pin) { return pin.second == target; });
+  }
+  void Upmap(uint32_t pg, BrickId target) { upmaps_[pg % pg_count_] = target; }
+  void ClearUpmap(uint32_t pg) { upmaps_.erase(pg % pg_count_); }
+
+  std::vector<BrickId> RawMap(uint32_t pg, int replicas) const {
+    std::vector<BrickId> out;
+    if (weights_.empty() || replicas <= 0) {
+      return out;
+    }
+    size_t want = std::min(static_cast<size_t>(replicas), weights_.size());
+    for (uint32_t round = 0; out.size() < want && round < 8 * want; ++round) {
+      BrickId best = kInvalidBrick;
+      double best_draw = -1e300;
+      for (const auto& [target, weight] : weights_) {
+        if (std::find(out.begin(), out.end(), target) != out.end()) {
+          continue;
+        }
+        uint64_t h =
+            Mix64(HashCombine(HashCombine(Mix64(pg + 0x5bd1ULL), round), target));
+        double u = (static_cast<double>(h >> 11) + 1.0) * 0x1.0p-53;
+        double draw = std::log(u) / weight;
+        if (draw > best_draw) {
+          best_draw = draw;
+          best = target;
+        }
+      }
+      if (best == kInvalidBrick) {
+        break;
+      }
+      out.push_back(best);
+    }
+    return out;
+  }
+
+  std::vector<BrickId> Map(uint32_t pg, int replicas) const {
+    std::vector<BrickId> mapped = RawMap(pg, replicas);
+    auto it = upmaps_.find(pg);
+    if (it == upmaps_.end() || mapped.empty() || weights_.count(it->second) == 0) {
+      return mapped;
+    }
+    auto at = std::find(mapped.begin(), mapped.end(), it->second);
+    if (at != mapped.end()) {
+      std::swap(mapped[0], *at);
+    } else {
+      mapped[0] = it->second;
+    }
+    return mapped;
+  }
+
+  std::map<BrickId, double> weights_;
+  std::map<uint32_t, BrickId> upmaps_;
+  uint32_t pg_count_;
+};
+
+// Consistent-hash ring as a std::map from position to target.
+class Ring {
+ public:
+  explicit Ring(int vnodes) : vnodes_(vnodes) {}
+  void AddTarget(BrickId target, double weight) {
+    if (positions_.count(target) != 0) {
+      return;
+    }
+    int vnodes = std::clamp(static_cast<int>(static_cast<double>(vnodes_) * weight), 4,
+                            4 * vnodes_);
+    std::vector<uint64_t>& planted = positions_[target];
+    for (int v = 0; v < vnodes; ++v) {
+      uint64_t pos = HashCombine(Mix64(target + 0x9e37ULL), static_cast<uint64_t>(v));
+      while (ring_.count(pos) != 0) {
+        pos = Mix64(pos);
+      }
+      ring_[pos] = target;
+      planted.push_back(pos);
+    }
+  }
+  void RemoveTarget(BrickId target) {
+    auto it = positions_.find(target);
+    if (it == positions_.end()) {
+      return;
+    }
+    for (uint64_t pos : it->second) {
+      ring_.erase(pos);
+    }
+    positions_.erase(it);
+  }
+  std::vector<BrickId> Locate(uint64_t key_hash, int replicas) const {
+    std::vector<BrickId> out;
+    if (ring_.empty() || replicas <= 0) {
+      return out;
+    }
+    size_t want = std::min(static_cast<size_t>(replicas), positions_.size());
+    auto it = ring_.lower_bound(key_hash);
+    for (size_t steps = 0; out.size() < want && steps < 2 * ring_.size(); ++steps) {
+      if (it == ring_.end()) {
+        it = ring_.begin();
+      }
+      if (std::find(out.begin(), out.end(), it->second) == out.end()) {
+        out.push_back(it->second);
+      }
+      ++it;
+    }
+    return out;
+  }
+
+  int vnodes_;
+  std::map<uint64_t, BrickId> ring_;
+  std::map<BrickId, std::vector<uint64_t>> positions_;
+};
+
+// sortByLoad over a std::map of buckets, shuffled bucket by bucket.
+std::vector<BrickId> SortByLoad(const std::vector<WeightedTarget>& targets, int buckets,
+                                Rng& rng) {
+  std::map<int, std::vector<BrickId>> tree;
+  for (const WeightedTarget& target : targets) {
+    double f = std::clamp(target.used_fraction, 0.0, 1.0);
+    tree[std::min(static_cast<int>(f * buckets), buckets - 1)].push_back(target.brick);
+  }
+  std::vector<BrickId> out;
+  for (const auto& [bucket, members] : tree) {
+    size_t start = out.size();
+    out.insert(out.end(), members.begin(), members.end());
+    for (size_t i = out.size(); i > start + 1; --i) {
+      std::swap(out[i - 1], out[start + rng.PickIndex(i - start)]);
+    }
+  }
+  return out;
+}
+
+}  // namespace oracle
+
+TEST(PlacementDifferential, CrushMemoMatchesFromScratchStraw2) {
+  constexpr uint32_t kPgs = 64;
+  const double kWeights[] = {0.5, 1.0, 1.0, 2.0, 3.5};
+  for (uint64_t seed : {11u, 12u, 13u}) {
+    Rng rng(seed);
+    CrushMap crush(kPgs);
+    oracle::Crush expected(kPgs);
+    for (int step = 0; step < 1500; ++step) {
+      BrickId target = static_cast<BrickId>(rng.NextRange(1, 10));
+      switch (rng.NextBelow(8)) {
+        case 0:
+        case 1: {
+          double weight = kWeights[rng.PickIndex(std::size(kWeights))];
+          crush.SetTargetWeight(target, weight);
+          expected.SetTargetWeight(target, weight);
+          break;
+        }
+        case 2: {
+          // Re-set the current weight: must leave every mapping unchanged.
+          double weight = crush.TargetWeight(target);
+          crush.SetTargetWeight(target, weight);
+          expected.SetTargetWeight(target, weight);
+          break;
+        }
+        case 3:
+          crush.RemoveTarget(target);
+          expected.RemoveTarget(target);
+          break;
+        case 4: {
+          uint32_t pg = static_cast<uint32_t>(rng.NextBelow(2 * kPgs));
+          crush.Upmap(pg, target);
+          expected.Upmap(pg, target);
+          break;
+        }
+        case 5: {
+          uint32_t pg = static_cast<uint32_t>(rng.NextBelow(kPgs));
+          crush.ClearUpmap(pg);
+          expected.ClearUpmap(pg);
+          break;
+        }
+        default:
+          break;
+      }
+      ASSERT_EQ(crush.target_count(), expected.weights_.size());
+      ASSERT_EQ(crush.upmaps(), expected.upmaps_);
+      for (int query = 0; query < 12; ++query) {
+        // Mostly memoized pgs, now and then one past pg_count.
+        uint32_t pg = static_cast<uint32_t>(rng.NextBelow(kPgs + 4));
+        int replicas = static_cast<int>(rng.NextRange(0, 3));
+        ASSERT_EQ(crush.Map(pg, replicas), expected.Map(pg, replicas))
+            << "seed " << seed << " step " << step << " pg " << pg << " x" << replicas;
+        ASSERT_EQ(crush.RawMap(pg, replicas), expected.RawMap(pg, replicas));
+      }
+    }
+  }
+}
+
+TEST(PlacementDifferential, FlatRingMatchesMapRing) {
+  const double kWeights[] = {0.05, 0.5, 1.0, 1.3, 6.0};
+  for (uint64_t seed : {21u, 22u, 23u}) {
+    Rng rng(seed);
+    HashRing ring(16);
+    oracle::Ring expected(16);
+    for (int step = 0; step < 800; ++step) {
+      // A small id range, so removed ids are often re-added.
+      BrickId target = static_cast<BrickId>(rng.NextRange(1, 8));
+      if (rng.Chance(0.6)) {
+        double weight = kWeights[rng.PickIndex(std::size(kWeights))];
+        ring.AddTarget(target, weight);
+        expected.AddTarget(target, weight);
+      } else {
+        ring.RemoveTarget(target);
+        expected.RemoveTarget(target);
+      }
+      ASSERT_EQ(ring.target_count(), expected.positions_.size());
+      for (BrickId id = 1; id <= 8; ++id) {
+        auto it = expected.positions_.find(id);
+        int vnodes = it == expected.positions_.end() ? 0 : static_cast<int>(it->second.size());
+        ASSERT_EQ(ring.VnodeCount(id), vnodes);
+        ASSERT_EQ(ring.HasTarget(id), vnodes != 0);
+      }
+      for (int query = 0; query < 16; ++query) {
+        uint64_t key = query == 0 ? ~uint64_t{0} : rng.NextU64();  // wraps past the end
+        int replicas = static_cast<int>(rng.NextRange(0, 10));     // up to above the count
+        std::vector<BrickId> located = ring.Locate(key, replicas);
+        ASSERT_EQ(located, expected.Locate(key, replicas))
+            << "seed " << seed << " step " << step << " x" << replicas;
+        std::vector<BrickId> first = expected.Locate(key, 1);
+        ASSERT_EQ(ring.Primary(key), first.empty() ? kInvalidBrick : first.front());
+      }
+    }
+  }
+}
+
+TEST(PlacementDifferential, CountingSortMatchesMapSortAndDraws) {
+  WeightedTree tree;  // reused across rounds, like the HDFS flavor's
+  for (uint64_t seed : {31u, 32u, 33u}) {
+    Rng pick(seed);
+    Rng rng(seed + 100);
+    Rng expected_rng(seed + 100);
+    for (int round = 0; round < 400; ++round) {
+      std::vector<WeightedTarget> targets;
+      size_t count = pick.PickIndex(24);
+      for (size_t i = 0; i < count; ++i) {
+        // A coarse grid packs several targets into one bucket; a few fall
+        // outside [0, 1] and clamp into the end buckets.
+        double fraction = static_cast<double>(pick.NextRange(-2, 22)) / 20.0;
+        targets.push_back({static_cast<BrickId>(pick.NextRange(1, 40)), fraction});
+      }
+      tree.Clear();
+      for (const WeightedTarget& target : targets) {
+        tree.Insert(target);
+      }
+      ASSERT_EQ(tree.size(), targets.size());
+      ASSERT_EQ(tree.SortByLoad(rng), oracle::SortByLoad(targets, 20, expected_rng))
+          << "seed " << seed << " round " << round;
+      ASSERT_EQ(rng.NextU64(), expected_rng.NextU64()) << "draw sequences diverged";
     }
   }
 }
